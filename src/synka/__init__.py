@@ -22,7 +22,9 @@ from .derivatives import (
     derive,
     nullable,
     reachable_terms,
+    step,
     to_dot,
+    transitions,
     unfold,
     unfold_as_term,
 )
@@ -94,6 +96,6 @@ __all__ = [
     "normalize_sl", "nullable", "parse_symset", "parse_term",
     "parse_term_file", "parse_word", "pi_lang", "pi_word", "print_term",
     "reachable_terms", "sem_bounded", "size", "sl_equal", "sl_value",
-    "solve", "to_dot", "to_normal_form", "unfold", "unfold_as_term",
-    "word_sync",
+    "solve", "step", "to_dot", "to_normal_form", "transitions", "unfold",
+    "unfold_as_term", "word_sync",
 ]

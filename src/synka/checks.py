@@ -21,7 +21,7 @@ from .countermodel import (
     cm_sync,
     model_leq,
 )
-from .derivatives import build_automaton, nullable, unfold_as_term
+from .derivatives import build_automaton, nullable, step, unfold_as_term
 from .equivalence import equiv
 from .language import sem_bounded
 from .normalform import build_system, to_normal_form
@@ -48,10 +48,6 @@ class CheckResult:
         status = "pass" if self.passed else "FAIL"
         extra = " (%s)" % self.note if self.note else ""
         return "%s %s: %d/%d%s" % (status, self.name, self.runs - self.failures, self.runs, extra)
-
-
-def _record(results: list[CheckResult], result: CheckResult) -> None:
-    results.append(result)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +267,7 @@ def check_axioms(
                 failures += 1
                 if len(details) < 3:
                     details.append("%s != %s" % (lhs, rhs))
-        _record(results, CheckResult("axiom %s" % schema.name, iters, failures, details=details))
+        results.append(CheckResult("axiom %s" % schema.name, iters, failures, details=details))
 
     def leq(x: Term, y: Term) -> bool:
         return equiv(Plus(x, y), y).equivalent
@@ -293,7 +289,7 @@ def check_axioms(
                 failures += 1
                 if len(details) < 3:
                     details.append("e=%s f=%s g=%s" % (e, f, g))
-    _record(results, CheckResult(
+    results.append(CheckResult(
         "implication lfp-left", iters, failures, note="hypothesis held %d/%d" % (held, iters),
         details=details))
 
@@ -312,7 +308,7 @@ def check_axioms(
                 failures += 1
                 if len(details) < 3:
                     details.append("e=%s f=%s g=%s" % (e, f, g))
-    _record(results, CheckResult(
+    results.append(CheckResult(
         "implication lfp-right", iters, failures, note="hypothesis held %d/%d" % (held, iters),
         details=details))
 
@@ -335,7 +331,7 @@ def check_axioms(
                 failures += 1
                 if len(details) < 3:
                     details.append("e=%s f=%s g=%s" % (e, f, g))
-    _record(results, CheckResult(
+    results.append(CheckResult(
         "implication unique-fixpoint", iters, failures,
         note="hypothesis held %d/%d" % (held, iters), details=details))
     return results
@@ -354,7 +350,6 @@ def check_derivatives(
         term = random_term(rng, alphabet, rng.randint(1, size))
         expected = sem_bounded(term, bound)
         automaton = build_automaton(term)
-        known = set(automaton.alphabet)
         mismatch = []
 
         def walk(word, subset):
@@ -363,11 +358,9 @@ def check_derivatives(
                 mismatch.append(word)
             if len(word) == bound:
                 return
+            table = step(subset)
             for symbol in symbols:
-                if subset and symbol in known:
-                    walk(word + (symbol,), automaton.step(subset, symbol))
-                else:
-                    walk(word + (symbol,), frozenset())
+                walk(word + (symbol,), table.get(symbol, frozenset()))
 
         walk((), frozenset((automaton.initial,)))
         if mismatch:
@@ -479,8 +472,8 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
                 failures += 1
                 if len(details) < 3:
                     details.append("%s != %s on %s" % (lhs, rhs, [str(v) for v in variables]))
-        _record(results, CheckResult("model axiom %s" % schema.name, iters, failures,
-                                     details=details))
+        results.append(CheckResult("model axiom %s" % schema.name, iters, failures,
+                                   details=details))
 
     held = failures = 0
     details = []
@@ -494,7 +487,7 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
                 failures += 1
                 if len(details) < 3:
                     details.append("k=%s l=%s j=%s" % (k, l, j))
-    _record(results, CheckResult(
+    results.append(CheckResult(
         "model implication lfp-left", iters, failures,
         note="hypothesis held %d/%d" % (held, iters), details=details))
 
@@ -510,7 +503,7 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
                 failures += 1
                 if len(details) < 3:
                     details.append("k=%s l=%s j=%s" % (k, l, j))
-    _record(results, CheckResult(
+    results.append(CheckResult(
         "model implication lfp-right", iters, failures,
         note="hypothesis held %d/%d" % (held, iters), details=details))
 
@@ -526,8 +519,8 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
                 failures += 1
                 if len(details) < 3:
                     details.append("%s x %s = %s" % (fin, inf, product))
-    _record(results, CheckResult("finite x infinite stays infinite", runs, failures,
-                                 details=details))
+    results.append(CheckResult("finite x infinite stays infinite", runs, failures,
+                               details=details))
     return results
 
 

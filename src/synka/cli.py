@@ -8,23 +8,18 @@ resource errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
-from .checks import (
-    check_axioms,
-    check_countermodel,
-    check_derivatives,
-    check_fundamental,
-    check_normalform,
-)
+from .checks import SUITES
 from .countermodel import eval_cm
 from .derivatives import build_automaton, to_dot
 from .equivalence import DEFAULT_PAIR_CAP, StateLimitError, equiv
 from .equivalence import member as word_member
 from .language import format_word, parse_word
 from .normalform import build_system, format_system, to_normal_form
-from .syntax import TermSyntaxError, parse_term, parse_term_file, print_term
+from .syntax import parse_term, parse_term_file, print_term
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, metavar="N",
                         help="random seed for check suites")
     common.add_argument("--iters", type=int, default=None, metavar="N",
-                        help="instances per property in check suites")
+                        help="instances per property in check suites, at least 1 "
+                             "(default: per suite)")
     common.add_argument("--cap", type=int, default=DEFAULT_PAIR_CAP, metavar="N",
                         help="state-pair cap for the equivalence check")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -75,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
 
     p = sub.add_parser("check", parents=[common], help="run a property suite")
-    p.add_argument("suite", choices=["axioms", "derivatives", "fundamental",
-                                     "normalform", "countermodel"])
+    p.add_argument("suite", choices=list(SUITES))
     return parser
 
 
@@ -176,27 +171,18 @@ def _cmd_eval_cm(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    seed = args.seed
-    iters = args.iters
-    if args.suite == "axioms":
-        results = check_axioms(seed, iters or 100, args.alphabet or "ab")
-    elif args.suite == "derivatives":
-        results = check_derivatives(seed, iters or 300, args.alphabet or "abc",
-                                    bound=args.bound)
-    elif args.suite == "fundamental":
-        results = check_fundamental(seed, iters or 300, args.alphabet or "abc",
-                                    bound=args.bound)
-    elif args.suite == "normalform":
-        results = check_normalform(seed, iters or 200, args.alphabet or "ab")
-    else:
-        results = check_countermodel(seed, iters or 300)
+    suite = SUITES[args.suite]
+    options = {"iters": args.iters, "alphabet": args.alphabet, "bound": args.bound}
+    accepted = inspect.signature(suite).parameters
+    results = suite(args.seed, **{name: value for name, value in options.items()
+                                  if value is not None and name in accepted})
     lines = [r.line() for r in results]
     failed = [r for r in results if not r.passed]
     lines.append("suite %s: %d checks, %d failed" % (args.suite, len(results), len(failed)))
     payload = {
         "command": "check",
         "suite": args.suite,
-        "seed": seed,
+        "seed": args.seed,
         "results": [
             {"name": r.name, "runs": r.runs, "failures": r.failures,
              "note": r.note, "passed": r.passed}
@@ -222,15 +208,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.iters is not None and args.iters < 1:
+        parser.error("argument --iters: must be at least 1, got %d" % args.iters)
     try:
         return _COMMANDS[args.command](args)
-    except (TermSyntaxError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except StateLimitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, StateLimitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -365,7 +365,3 @@ def eval_cm(
         raise TypeError("unknown term node %r" % (t,))
 
     return go(term)
-
-
-def format_element(element: ModelElement) -> str:
-    return str(element)

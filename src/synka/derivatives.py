@@ -1,31 +1,37 @@
 """Partial derivatives and the syntactic automaton.
 
-``nullable`` tells whether a term accepts the empty word, ``derive`` maps
-a term and a symbol set to the finite set of continuation terms, and
+``nullable`` tells whether a term accepts the empty word, and
+``transitions`` gives a term's one-step behaviour as a table from each
+symbol set the term can read to its continuation terms (the linear forms
+of Antimirov, "Partial derivatives of regular expressions and finite
+automaton constructions", 1996). It is the only function that encodes the
+derivative rules: ``derive``, the determinized ``step``, ``unfold``, the
+automaton, equivalence and normal forms all read its tables.
 ``reachable_terms`` over-approximates everything reachable by iterated
 derivatives. Together they present a term as a state of a nondeterministic
 automaton whose symbols are nonempty letter sets.
 
-Derivatives taken by a symbol set that is not contained in the letters of
-the term are always empty: the letter rule fires only on exact singletons,
-and every product split passes subsets of the symbol down to letter rules.
-Automaton alphabets are therefore restricted to subsets of the term's own
-letters without losing any transitions.
+A table lists only the symbols its term can read, and each of them is a
+subset of the term's letters: an atom reads its own letter, and a product
+reads unions of symbols its operands read. Nothing walks the full set of
+nonempty letter subsets to find a term's transitions.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .language import SyncWord
 from .semilattice import SymSet, canonical_atom, nonempty_subsets
 from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, letters
 
-# Alphabets beyond this many letters make the subset-indexed transition
-# space (and the 3^|A| product splits) impractical on a desk machine.
+# Alphabets beyond this many letters make the automaton's subset alphabet
+# (2^|A| - 1 symbols, listed and rendered in full) impractical on a desk
+# machine.
 SUPPORT_WARN_LIMIT = 8
 
 
@@ -45,55 +51,66 @@ def nullable(term: Term) -> bool:
     raise TypeError("unknown term node %r" % (term,))
 
 
-def _splits(symbols: SymSet):
-    """All ordered pairs of nonempty sets whose union is ``symbols``.
-
-    Each letter goes to the left side, the right side, or both, except for
-    the two assignments that leave a side empty.
-    """
-    elems = symbols.letters
-    for assignment in itertools.product((0, 1, 2), repeat=len(elems)):
-        left = tuple(ch for ch, a in zip(elems, assignment) if a != 1)
-        right = tuple(ch for ch, a in zip(elems, assignment) if a != 0)
-        if left and right:
-            yield SymSet(left), SymSet(right)
+def _merge(into: dict[SymSet, frozenset[Term]], table: Mapping[SymSet, frozenset[Term]]) -> None:
+    for symbol, targets in table.items():
+        seen = into.get(symbol)
+        into[symbol] = targets if seen is None else seen | targets
 
 
 @functools.lru_cache(maxsize=None)
+def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
+    """The one-step behaviour of ``term``: each symbol set it can read,
+    mapped to the nonempty set of continuation terms.
+
+    A product ``e & f`` reads the union of one symbol of each operand and
+    continues with the product of their continuations; it also steps as
+    ``e`` alone when ``f`` accepts the empty word, and as ``f`` alone when
+    ``e`` does. The table is shared by every caller and is read-only.
+    """
+    table: dict[SymSet, frozenset[Term]] = {}
+    if isinstance(term, Atom):
+        table[SymSet(term.letter)] = frozenset((One(),))
+    elif isinstance(term, Plus):
+        _merge(table, transitions(term.left))
+        _merge(table, transitions(term.right))
+    elif isinstance(term, Seq):
+        for symbol, targets in transitions(term.left).items():
+            table[symbol] = frozenset(Seq(t, term.right) for t in targets)
+        if nullable(term.left):
+            _merge(table, transitions(term.right))
+    elif isinstance(term, Star):
+        for symbol, targets in transitions(term.inner).items():
+            table[symbol] = frozenset(Seq(t, term) for t in targets)
+    elif isinstance(term, Sync):
+        lefts = transitions(term.left)
+        rights = transitions(term.right)
+        for left_symbol, left_targets in lefts.items():
+            for right_symbol, right_targets in rights.items():
+                symbol = left_symbol.union(right_symbol)
+                product = {Sync(lt, rt) for lt in left_targets for rt in right_targets}
+                table[symbol] = table.get(symbol, frozenset()) | product
+        if nullable(term.right):
+            _merge(table, lefts)
+        if nullable(term.left):
+            _merge(table, rights)
+    elif not isinstance(term, (Zero, One, H)):
+        raise TypeError("unknown term node %r" % (term,))
+    return MappingProxyType(table)
+
+
 def derive(term: Term, symbols: SymSet) -> frozenset[Term]:
     """Partial derivative: the terms reachable from ``term`` by reading the
     symbol set ``symbols`` in one step."""
-    if isinstance(term, (Zero, One, H)):
-        return frozenset()
-    if isinstance(term, Atom):
-        if len(symbols) == 1 and term.letter in symbols:
-            return frozenset((One(),))
-        return frozenset()
-    if isinstance(term, Plus):
-        return derive(term.left, symbols) | derive(term.right, symbols)
-    if isinstance(term, Seq):
-        out = {Seq(t, term.right) for t in derive(term.left, symbols)}
-        if nullable(term.left):
-            out |= derive(term.right, symbols)
-        return frozenset(out)
-    if isinstance(term, Star):
-        return frozenset(Seq(t, term) for t in derive(term.inner, symbols))
-    if isinstance(term, Sync):
-        out = set()
-        if nullable(term.right):
-            out |= derive(term.left, symbols)
-        if nullable(term.left):
-            out |= derive(term.right, symbols)
-        for left_syms, right_syms in _splits(symbols):
-            lefts = derive(term.left, left_syms)
-            if not lefts:
-                continue
-            rights = derive(term.right, right_syms)
-            for lt in lefts:
-                for rt in rights:
-                    out.add(Sync(lt, rt))
-        return frozenset(out)
-    raise TypeError("unknown term node %r" % (term,))
+    return transitions(term).get(symbols, frozenset())
+
+
+def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
+    """Determinized transition on a set of states: each symbol some state
+    can read, mapped to all continuations on it."""
+    merged: dict[SymSet, frozenset[Term]] = {}
+    for state in states:
+        _merge(merged, transitions(state))
+    return merged
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,13 +153,6 @@ class Automaton:
     accepting: frozenset[Term]
     transitions: dict[tuple[Term, SymSet], frozenset[Term]]
 
-    def step(self, subset: frozenset[Term], symbol: SymSet) -> frozenset[Term]:
-        """Determinized transition on a set of states."""
-        out: set[Term] = set()
-        for state in subset:
-            out |= self.transitions.get((state, symbol), frozenset())
-        return frozenset(out)
-
 
 def build_automaton(term: Term) -> Automaton:
     """Build the automaton whose states are ``reachable_terms(term)`` plus
@@ -155,39 +165,33 @@ def build_automaton(term: Term) -> Automaton:
             % (len(support), 2 ** len(support) - 1),
             stacklevel=2,
         )
-    alphabet = nonempty_subsets(support)
     reach = reachable_terms(term)
     states = tuple(sorted(reach | {term}, key=str))
-    transitions: dict[tuple[Term, SymSet], frozenset[Term]] = {}
+    edges: dict[tuple[Term, SymSet], frozenset[Term]] = {}
     for state in states:
-        for symbol in alphabet:
-            targets = derive(state, symbol)
-            if targets:
-                if not targets <= reach:
-                    raise AssertionError(
-                        "derivative escaped the reachable set: %s --%s--> %s"
-                        % (state, symbol, sorted(map(str, targets - reach)))
-                    )
-                transitions[(state, symbol)] = targets
+        for symbol, targets in transitions(state).items():
+            if not targets <= reach:
+                raise AssertionError(
+                    "derivative escaped the reachable set: %s --%s--> %s"
+                    % (state, symbol, sorted(map(str, targets - reach)))
+                )
+            edges[(state, symbol)] = targets
     accepting = frozenset(s for s in states if nullable(s))
     return Automaton(
         initial=term,
         states=states,
-        alphabet=alphabet,
+        alphabet=nonempty_subsets(support),
         accepting=accepting,
-        transitions=transitions,
+        transitions=edges,
     )
 
 
 def accepts(automaton: Automaton, word: SyncWord) -> bool:
-    """Standard nondeterministic acceptance; symbols outside the
-    automaton's alphabet reject immediately."""
-    alphabet = set(automaton.alphabet)
+    """Standard nondeterministic acceptance; a symbol no current state can
+    read rejects immediately."""
     current = frozenset((automaton.initial,))
     for symbol in word:
-        if symbol not in alphabet:
-            return False
-        current = automaton.step(current, symbol)
+        current = step(current).get(symbol)
         if not current:
             return False
     return any(state in automaton.accepting for state in current)
@@ -196,10 +200,11 @@ def accepts(automaton: Automaton, word: SyncWord) -> bool:
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
     """One-step decomposition: the empty-word bit plus all (symbol,
     continuation) summands, sorted by symbol and then printed term."""
-    summands = []
-    for symbol in nonempty_subsets(letters(term)):
-        for target in derive(term, symbol):
-            summands.append((symbol, target))
+    summands = [
+        (symbol, target)
+        for symbol, targets in transitions(term).items()
+        for target in targets
+    ]
     summands.sort(key=lambda item: (item[0], str(item[1])))
     return nullable(term), summands
 

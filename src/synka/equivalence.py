@@ -7,10 +7,11 @@ into sets of terms, a union-find merges set pairs already known to be
 language-equal, and the frontier is explored breadth-first so the first
 acceptance conflict yields a shortest distinguishing word.
 
-The comparison alphabet is every nonempty subset of the letters occurring
-in either term. Derivatives by any other symbol set are empty on both
-sides (see :mod:`synka.derivatives`), so no distinguishing word can use
-one.
+Each pair steps only on the symbols that either side can read, taken in
+sorted order. Any other symbol leads both sides to the empty set, a pair
+that is trivially language-equal, so no shortest distinguishing word can
+use one and skipping it changes neither the search order nor the count of
+examined pairs.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .derivatives import derive, nullable
+from .derivatives import nullable, step
 from .language import SyncWord
-from .semilattice import nonempty_subsets
-from .terms import Term, letters
+from .terms import Term
 
 DEFAULT_PAIR_CAP = 1_000_000
 
@@ -44,14 +44,11 @@ class EquivResult:
 
 def member(word: SyncWord, term: Term) -> bool:
     """Word membership by iterated derivatives; no automaton is built."""
-    current: frozenset[Term] = frozenset((term,))
+    current: frozenset[Term] | None = frozenset((term,))
     for symbol in word:
-        step: set[Term] = set()
-        for state in current:
-            step |= derive(state, symbol)
-        if not step:
+        current = step(current).get(symbol)
+        if not current:
             return False
-        current = frozenset(step)
     return any(nullable(state) for state in current)
 
 
@@ -87,31 +84,17 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     Raises :class:`StateLimitError` once more than ``pair_cap`` set pairs
     have been examined.
     """
-    alphabet = nonempty_subsets(letters(e) | letters(f))
     uf = _UnionFind()
-    accepts_cache: dict[frozenset[Term], bool] = {}
-    step_cache: dict[tuple[frozenset[Term], object], frozenset[Term]] = {}
+    expanded: dict[frozenset[Term], tuple[bool, dict]] = {}
 
-    def accepts_now(subset: frozenset[Term]) -> bool:
+    def expand(subset: frozenset[Term]) -> tuple[bool, dict]:
         try:
-            return accepts_cache[subset]
+            return expanded[subset]
         except KeyError:
-            value = any(nullable(state) for state in subset)
-            accepts_cache[subset] = value
+            value = expanded[subset] = (any(nullable(q) for q in subset), step(subset))
             return value
 
-    def step(subset: frozenset[Term], symbol) -> frozenset[Term]:
-        key = (subset, symbol)
-        try:
-            return step_cache[key]
-        except KeyError:
-            out: set[Term] = set()
-            for state in subset:
-                out |= derive(state, symbol)
-            value = frozenset(out)
-            step_cache[key] = value
-            return value
-
+    empty: frozenset[Term] = frozenset()
     start = (frozenset((e,)), frozenset((f,)))
     queue: deque[tuple[frozenset[Term], frozenset[Term], SyncWord]] = deque([(*start, ())])
     examined = 0
@@ -119,7 +102,9 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
         left, right, word = queue.popleft()
         if uf.find(left) == uf.find(right):
             continue
-        if accepts_now(left) != accepts_now(right):
+        accept_left, next_left = expand(left)
+        accept_right, next_right = expand(right)
+        if accept_left != accept_right:
             return EquivResult(False, word)
         uf.union(left, right)
         examined += 1
@@ -127,6 +112,8 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
             raise StateLimitError(
                 "equivalence check exceeded %d determinized state pairs" % pair_cap
             )
-        for symbol in alphabet:
-            queue.append((step(left, symbol), step(right, symbol), word + (symbol,)))
+        for symbol in sorted(next_left.keys() | next_right.keys()):
+            queue.append(
+                (next_left.get(symbol, empty), next_right.get(symbol, empty), word + (symbol,))
+            )
     return EquivResult(True, None)

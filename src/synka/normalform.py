@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivatives import derive, nullable, reachable_terms
-from .semilattice import canonical_atom, nonempty_subsets
-from .terms import One, Plus, Seq, Star, Term, Zero, letters
+from .derivatives import nullable, reachable_terms, transitions
+from .semilattice import canonical_atom
+from .terms import One, Plus, Seq, Star, Term, Zero
 
 
 class NotGuardedError(ValueError):
@@ -44,7 +44,6 @@ def build_system(term: Term) -> LinearSystem:
     are sorted by their printed form. Matrix entries sum canonical atoms in
     symbol order, so equal inputs build identical systems.
     """
-    alphabet = nonempty_subsets(letters(term))
     reach = reachable_terms(term)
     states = (term, *sorted((q for q in reach if q != term), key=str))
     matrix: dict[tuple[Term, Term], Term] = {}
@@ -52,9 +51,10 @@ def build_system(term: Term) -> LinearSystem:
     for source in states:
         vector[source] = One() if nullable(source) else Zero()
         sums: dict[Term, Term] = {}
-        for symbol in alphabet:
+        table = transitions(source)
+        for symbol in sorted(table):
             atom = canonical_atom(symbol)
-            for target in derive(source, symbol):
+            for target in table[symbol]:
                 seen = sums.get(target)
                 sums[target] = atom if seen is None else Plus(seen, atom)
         for target in states:

@@ -2,11 +2,15 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
-a product, and the unary-set operators are recomputed by plain enumeration
-up to a horizon.
+a product, derivatives are recomputed one symbol at a time by enumerating
+product splits, and the unary-set operators are recomputed by plain
+enumeration up to a horizon.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 from hypothesis import strategies as st
 
@@ -17,11 +21,13 @@ from synka import (
     Plus,
     Seq,
     Star,
+    SymSet,
     Sync,
     Zero,
     build_automaton,
     letters,
     nonempty_subsets,
+    nullable,
 )
 
 
@@ -53,6 +59,57 @@ def brute_force_equiv(e, f) -> bool:
                 seen.add(pair)
                 stack.append(pair)
     return True
+
+
+def _splits(symbols: SymSet):
+    """All ordered pairs of nonempty sets whose union is ``symbols``.
+
+    Each letter goes to the left side, the right side, or both, except for
+    the two assignments that leave a side empty.
+    """
+    elems = symbols.letters
+    for assignment in itertools.product((0, 1, 2), repeat=len(elems)):
+        left = tuple(ch for ch, a in zip(elems, assignment) if a != 1)
+        right = tuple(ch for ch, a in zip(elems, assignment) if a != 0)
+        if left and right:
+            yield SymSet(left), SymSet(right)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_derive(term, symbols: SymSet) -> frozenset:
+    """Partial derivative by one symbol, computed by structural recursion
+    on that symbol alone; a product tries every split of it."""
+    if isinstance(term, (Zero, One, H)):
+        return frozenset()
+    if isinstance(term, Atom):
+        if len(symbols) == 1 and term.letter in symbols:
+            return frozenset((One(),))
+        return frozenset()
+    if isinstance(term, Plus):
+        return reference_derive(term.left, symbols) | reference_derive(term.right, symbols)
+    if isinstance(term, Seq):
+        out = {Seq(t, term.right) for t in reference_derive(term.left, symbols)}
+        if nullable(term.left):
+            out |= reference_derive(term.right, symbols)
+        return frozenset(out)
+    if isinstance(term, Star):
+        return frozenset(Seq(t, term) for t in reference_derive(term.inner, symbols))
+    if isinstance(term, Sync):
+        out = set()
+        if nullable(term.right):
+            out |= reference_derive(term.left, symbols)
+        if nullable(term.left):
+            out |= reference_derive(term.right, symbols)
+        for left_syms, right_syms in _splits(symbols):
+            lefts = reference_derive(term.left, left_syms)
+            if not lefts:
+                continue
+            rights = reference_derive(term.right, right_syms)
+            for lt in lefts:
+                for rt in rights:
+                    out.add(Sync(lt, rt))
+        return frozenset(out)
+    raise TypeError("unknown term node %r" % (term,))
 
 
 # Naive reference arithmetic on sets of naturals, enumerated up to a

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from synka.cli import main
 
 
@@ -128,3 +130,13 @@ def test_check_all_suites_quick(capsys):
     for suite in ("axioms", "derivatives", "fundamental", "normalform", "countermodel"):
         code, out, _ = run(capsys, "check", suite, "--iters", "3")
         assert code == 0, (suite, out)
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_check_rejects_nonpositive_iters(capsys, iters):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "axioms", "--iters", iters])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "--iters" in captured.err

@@ -1,7 +1,11 @@
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_derive, term_strategy
 from synka import (
     Atom,
     H,
@@ -69,6 +73,14 @@ def test_derive_outside_support_is_empty():
         term = random_term(rng, "ab", rng.randint(1, 8))
         assert derive(term, SymSet("c")) == frozenset()
         assert derive(term, SymSet("ac")) == frozenset()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(term_strategy))
+def test_derive_matches_reference(term):
+    absent = min(set(string.ascii_lowercase) - letters(term))
+    for symbol in nonempty_subsets(letters(term) | {absent}):
+        assert derive(term, symbol) == reference_derive(term, symbol), (term, symbol)
 
 
 def test_reach_examples():
