@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (or "equivalent" / "is a member"), 1 for a
 negative verdict or a failed property suite, 2 for usage, syntax or
-resource errors.
+resource errors. A term nested too deeply for Python's recursion limit,
+or a call that runs out of memory, is a resource error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .derivatives import build_automaton, to_dot
 from .equivalence import DEFAULT_PAIR_CAP, StateLimitError, equiv
 from .equivalence import member as word_member
 from .language import format_word, parse_word
-from .normalform import build_system, format_system, to_normal_form
+from .normalform import build_system, format_system, solve
 from .syntax import parse_term, parse_term_file, print_term
 
 
@@ -125,11 +126,13 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_nf(args) -> int:
     term = parse_term(args.term, args.alphabet)
-    normal = to_normal_form(term)
-    payload = {"command": "nf", "term": print_term(term), "normal_form": print_term(normal)}
+    system = build_system(term)
+    normal = solve(system)[term]
+    payload = {"command": "nf", "term": print_term(term), "normal_form": print_term(normal),
+               "states": len(system.states)}
     lines = []
     if args.system:
-        table = format_system(build_system(term))
+        table = format_system(system)
         payload["system"] = table.splitlines()
         lines.extend(table.splitlines())
     lines.append(print_term(normal))
@@ -214,6 +217,13 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, StateLimitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: term nested too deeply (Python recursion limit %d)"
+              % sys.getrecursionlimit(), file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

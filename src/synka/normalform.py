@@ -1,20 +1,20 @@
 """Normal forms through guarded linear systems.
 
-A term's one-step behaviour yields a linear system over its reachable
-state set: the vector records which states accept the empty word, and the
-matrix entry for a state pair sums the canonical atoms of all symbols
-stepping from one to the other. Such a matrix is guarded (no entry accepts
-the empty word), so Gaussian-style elimination with the star rule yields a
-solution vector; the entry at the original term is an equivalent term that
-uses only ``0``, ``1``, canonical semilattice atoms, ``+``, ``;`` and
-``*``.
+A term's one-step behaviour yields a linear system over the states its
+transitions reach: the vector records which states accept the empty word,
+and the matrix entry for a state pair sums the canonical atoms of all
+symbols stepping from one to the other. Such a matrix is guarded (no entry
+accepts the empty word), so Gaussian-style elimination with the star rule
+yields a solution vector; the entry at the original term is an equivalent
+term that uses only ``0``, ``1``, canonical semilattice atoms, ``+``, ``;``
+and ``*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivatives import nullable, reachable_terms, transitions
+from .derivatives import nullable, reachable_states, transitions
 from .semilattice import canonical_atom
 from .terms import One, Plus, Seq, Star, Term, Zero
 
@@ -38,13 +38,13 @@ class LinearSystem:
 
 
 def build_system(term: Term) -> LinearSystem:
-    """The linear system of a term over its reachable states.
+    """The linear system of a term over the states its transitions reach.
 
     The initial term comes first in the state order; the remaining states
     are sorted by their printed form. Matrix entries sum canonical atoms in
     symbol order, so equal inputs build identical systems.
     """
-    reach = reachable_terms(term)
+    reach = reachable_states(term)
     states = (term, *sorted((q for q in reach if q != term), key=str))
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
@@ -93,7 +93,8 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
     back-substitution finishes at the first state. When every entry of the
     system is in normal form, so is every entry of the solution. Unit laws
     for ``0`` and ``1`` are applied while building terms; nothing else is
-    rewritten.
+    rewritten. Each step visits only the nonzero entries of the eliminated
+    state's row: a zero entry would leave every other entry as it is.
     """
     for (source, target), entry in system.matrix.items():
         if nullable(entry):
@@ -109,14 +110,16 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
         rest = states[:index]
         loop = matrix[(state, state)]
         row = [(other, matrix[(state, other)]) for other in rest]
+        row = [(other, coefficient) for other, coefficient in row
+               if not isinstance(coefficient, Zero)]
         eliminated.append((state, loop, row, vector[state]))
         factor = _star(loop)
         for source in rest:
             lead = _seq(matrix[(source, state)], factor)
             if isinstance(lead, Zero):
                 continue
-            for target in rest:
-                entry = _plus(_seq(lead, matrix[(state, target)]), matrix[(source, target)])
+            for target, coefficient in row:
+                entry = _plus(_seq(lead, coefficient), matrix[(source, target)])
                 assert not nullable(entry), "elimination must preserve guardedness"
                 matrix[(source, target)] = entry
             vector[source] = _plus(vector[source], _seq(lead, vector[state]))

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
 a product, derivatives are recomputed one symbol at a time by enumerating
-product splits, and the unary-set operators are recomputed by plain
-enumeration up to a horizon.
+product splits, linear systems are built over the syntactic
+over-approximation of the reachable states, and the unary-set operators
+are recomputed by plain enumeration up to a horizon.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from synka import (
     Atom,
     H,
+    LinearSystem,
     One,
     Plus,
     Seq,
@@ -25,9 +27,12 @@ from synka import (
     Sync,
     Zero,
     build_automaton,
+    canonical_atom,
     letters,
     nonempty_subsets,
     nullable,
+    reachable_terms,
+    transitions,
 )
 
 
@@ -110,6 +115,28 @@ def reference_derive(term, symbols: SymSet) -> frozenset:
                     out.add(Sync(lt, rt))
         return frozenset(out)
     raise TypeError("unknown term node %r" % (term,))
+
+
+def reference_build_system(term) -> LinearSystem:
+    """The linear system of a term over ``reachable_terms(term)`` plus the
+    term itself: a superset of the states its transitions reach, in the
+    same order (the term first, the rest sorted by printed form)."""
+    reach = reachable_terms(term)
+    states = (term, *sorted((q for q in reach if q != term), key=str))
+    matrix = {}
+    vector = {}
+    for source in states:
+        vector[source] = One() if nullable(source) else Zero()
+        sums = {}
+        table = transitions(source)
+        for symbol in sorted(table):
+            atom = canonical_atom(symbol)
+            for target in table[symbol]:
+                seen = sums.get(target)
+                sums[target] = atom if seen is None else Plus(seen, atom)
+        for target in states:
+            matrix[(source, target)] = sums.get(target, Zero())
+    return LinearSystem(states=states, matrix=matrix, vector=vector)
 
 
 # Naive reference arithmetic on sets of naturals, enumerated up to a

@@ -82,6 +82,14 @@ def test_nf_system(capsys):
     assert lines[-1] == "a"
 
 
+def test_nf_json_reports_states(capsys):
+    code, out, _ = run(capsys, "nf", "--json", "--system", "(a+b;a)* & (a+b;a)*")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["states"] == 7
+    assert len(payload["system"]) == 7
+
+
 def test_automaton_dot(tmp_path, capsys):
     target = tmp_path / "out.dot"
     code, out, _ = run(capsys, "automaton", "a & b", "--dot", str(target))
@@ -130,6 +138,32 @@ def test_check_all_suites_quick(capsys):
     for suite in ("axioms", "derivatives", "fundamental", "normalform", "countermodel"):
         code, out, _ = run(capsys, "check", suite, "--iters", "3")
         assert code == 0, (suite, out)
+
+
+def test_deep_chain_is_a_resource_error(capsys):
+    chain = ";".join("ab"[i % 2] for i in range(600))
+    code, out, err = run(capsys, "equiv", chain, chain + " ; 1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_nesting_is_a_resource_error(capsys):
+    code, out, err = run(capsys, "parse", "(" * 300 + "a" + ")" * 300)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_a_resource_error(capsys, monkeypatch):
+    def exhaust(term):
+        raise MemoryError
+
+    monkeypatch.setattr("synka.cli.build_system", exhaust)
+    code, out, err = run(capsys, "nf", "a")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("iters", ["0", "-3"])

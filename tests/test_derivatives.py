@@ -23,6 +23,7 @@ from synka import (
     nullable,
     parse_term,
     parse_word,
+    reachable_states,
     reachable_terms,
     sem_bounded,
     to_dot,
@@ -98,12 +99,18 @@ def test_reach_closed_under_derivatives():
     for _ in range(150):
         term = random_term(rng, "ab", rng.randint(1, 9))
         reach = reachable_terms(term)
+        assert reachable_states(term) <= reach | {term}
         symbols = nonempty_subsets(letters(term))
         for symbol in symbols:
             assert derive(term, symbol) <= reach
         for state in reach:
             for symbol in symbols:
                 assert derive(state, symbol) <= reach
+
+
+def test_build_automaton_lists_only_reached_states():
+    # The syntactic over-approximation lists 31 states here.
+    assert len(build_automaton(parse_term("(a+b;a)* & (a+b;a)*")).states) == 7
 
 
 def test_reach_finite_on_large_terms():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from helpers import reference_build_system, term_strategy
 from synka import (
     Atom,
     LinearSystem,
@@ -20,6 +22,7 @@ from synka import (
     format_system,
     parse_term,
     parse_word,
+    print_term,
     sem_bounded,
     solve,
     to_normal_form,
@@ -43,6 +46,23 @@ def test_build_system_zero():
     assert system.states == (Zero(),)
     assert system.matrix[(Zero(), Zero())] == Zero()
     assert system.vector[Zero()] == Zero()
+
+
+@pytest.mark.parametrize("text", ["(a+b;a)* & (a+b;a)*", "(a;b)* & (b;a)*"])
+def test_build_system_counts_only_reached_states(text):
+    # The syntactic over-approximation lists 31 and 35 states here.
+    assert len(build_system(parse_term(text)).states) == 7
+
+
+@settings(max_examples=200)
+@given(term_strategy("a") | term_strategy("ab") | term_strategy("abc", max_leaves=6))
+def test_build_system_matches_reference(term):
+    system = build_system(term)
+    reference = reference_build_system(term)
+    assert set(system.states) <= set(reference.states)
+    positions = [reference.states.index(state) for state in system.states]
+    assert positions == sorted(positions)
+    assert print_term(solve(system)[term]) == print_term(solve(reference)[term])
 
 
 def test_build_system_sync_entry():
