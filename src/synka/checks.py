@@ -19,12 +19,13 @@ from .countermodel import (
     cm_plus,
     cm_star,
     cm_sync,
+    eval_cm,
     model_leq,
 )
 from .derivatives import build_automaton, nullable, step, unfold_as_term
 from .equivalence import equiv
 from .language import sem_bounded
-from .normalform import build_system, to_normal_form
+from .normalform import build_system, solve, to_normal_form
 from .semilattice import nonempty_subsets
 from .syntax import classify
 from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
@@ -400,7 +401,8 @@ def check_normalform(
     details_sol: list[str] = []
     for _ in range(iters):
         term = random_term(rng, alphabet, rng.randint(1, size))
-        normal = to_normal_form(term)
+        system = build_system(term)
+        normal = solve(system)[term]
         if not classify(normal).nsf:
             nsf_failures += 1
             if len(details_nsf) < 3:
@@ -409,7 +411,6 @@ def check_normalform(
             equiv_failures += 1
             if len(details_equiv) < 3:
                 details_equiv.append("%s -> %s" % (term, normal))
-        system = build_system(term)
         for state in system.states:
             acc: Term = system.vector[state]
             for target in system.states:
@@ -456,7 +457,9 @@ def sample_model_elements(rng: random.Random, count: int = 56) -> list[ModelElem
 def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[CheckResult]:
     """The original axioms hold in the model: equational schemas on random
     element tuples, fixpoint implications where the hypothesis holds, and
-    the product of a finite with an infinite set stays infinite."""
+    the product of a finite with an infinite set stays infinite. Last, on
+    random one-letter terms without ``&`` or H, a term's normal form has
+    the term's own model value."""
     rng = random.Random(seed)
     pool = sample_model_elements(rng, count)
     generator = UnaryLang.generator()
@@ -520,6 +523,21 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
                 if len(details) < 3:
                     details.append("%s x %s = %s" % (fin, inf, product))
     results.append(CheckResult("finite x infinite stays infinite", runs, failures,
+                               details=details))
+
+    # Without & no dagger arises, so both sides are the length set of one
+    # language and must agree.
+    failures = 0
+    details = []
+    for _ in range(iters):
+        term = random_term(rng, "a", rng.randint(1, 8), allow_h=False, allow_sync=False)
+        value = eval_cm(term)
+        normal_value = eval_cm(to_normal_form(term))
+        if normal_value != value:
+            failures += 1
+            if len(details) < 3:
+                details.append("%s: %s != %s" % (term, normal_value, value))
+    results.append(CheckResult("model value of normal form", iters, failures,
                                details=details))
     return results
 

@@ -14,6 +14,10 @@ On length sets the operators reduce to arithmetic: union for choice,
 the sum-set for concatenation, the pointwise maximum for the synchronous
 product (the product of two words is as long as the longer one), and the
 additive closure including 0 for iteration.
+
+``eval_cm`` interprets a term with an explicit stack, not Python
+recursion, and memoizes within one call, so each distinct subterm of a
+term that shares subterms (as solved normal forms do) is evaluated once.
 """
 
 from __future__ import annotations
@@ -336,6 +340,12 @@ def eval_cm(
 
     Every letter must denote the model's only semilattice element, the
     generator ``{1}``; ``valuation`` may spell that out explicitly.
+
+    Each distinct subterm is evaluated once per call, equal subterms that
+    are separate objects included. The walk uses no Python recursion, so
+    the recursion limit does not bound the term's depth. A term containing
+    H raises ``HTermError`` naming its leftmost-outermost H, before
+    anything beneath that H is evaluated.
     """
     generator = UnaryLang.generator()
     if valuation is not None:
@@ -345,23 +355,38 @@ def eval_cm(
                     "letter %r must be interpreted as the generator, got %s" % (letter, value)
                 )
 
-    def go(t: Term) -> ModelElement:
-        if isinstance(t, Zero):
-            return _EMPTY
-        if isinstance(t, One):
-            return UnaryLang.epsilon()
-        if isinstance(t, Atom):
-            return generator
-        if isinstance(t, Plus):
-            return cm_plus(go(t.left), go(t.right))
-        if isinstance(t, Seq):
-            return cm_dot(go(t.left), go(t.right))
-        if isinstance(t, Sync):
-            return cm_sync(go(t.left), go(t.right))
-        if isinstance(t, Star):
-            return cm_star(go(t.inner))
-        if isinstance(t, H):
+    # Post-order over an explicit stack. An operator node goes back on the
+    # stack beneath its operands together with the model operation that
+    # combines their values, and is combined once they are in the memo.
+    # Operands go on left-last, so the walk first reaches nodes in the
+    # order a recursive left-to-right walk would, and the first H it
+    # reaches is the leftmost-outermost one.
+    memo: dict[Term, ModelElement] = {}
+    stack: list[tuple[Term, Callable[..., ModelElement] | None]] = [(term, None)]
+    while stack:
+        t, combine = stack.pop()
+        if combine is cm_star:
+            memo[t] = cm_star(memo[t.inner])
+        elif combine is not None:
+            memo[t] = combine(memo[t.left], memo[t.right])
+        elif t in memo:
+            continue
+        elif isinstance(t, Zero):
+            memo[t] = _EMPTY
+        elif isinstance(t, One):
+            memo[t] = UnaryLang.epsilon()
+        elif isinstance(t, Atom):
+            memo[t] = generator
+        elif isinstance(t, H):
             raise HTermError("the model does not interpret H: %s" % t)
-        raise TypeError("unknown term node %r" % (t,))
-
-    return go(term)
+        elif isinstance(t, Star):
+            stack.append((t, cm_star))
+            stack.append((t.inner, None))
+        elif isinstance(t, (Plus, Seq, Sync)):
+            op = cm_plus if isinstance(t, Plus) else cm_dot if isinstance(t, Seq) else cm_sync
+            stack.append((t, op))
+            stack.append((t.right, None))
+            stack.append((t.left, None))
+        else:
+            raise TypeError("unknown term node %r" % (t,))
+    return memo[term]

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
 a product, derivatives are recomputed one symbol at a time by enumerating
 product splits, linear systems are built over the syntactic
-over-approximation of the reachable states, and the unary-set operators
-are recomputed by plain enumeration up to a horizon.
+over-approximation of the reachable states, the countermodel value of a
+term is recomputed by a plain recursive tree walk, and the unary-set
+operators are recomputed by plain enumeration up to a horizon.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ from synka import (
     Star,
     SymSet,
     Sync,
+    UnaryLang,
     Zero,
     build_automaton,
     canonical_atom,
+    cm_dot,
+    cm_plus,
+    cm_star,
+    cm_sync,
     letters,
     nonempty_subsets,
     nullable,
@@ -137,6 +143,27 @@ def reference_build_system(term) -> LinearSystem:
         for target in states:
             matrix[(source, target)] = sums.get(target, Zero())
     return LinearSystem(states=states, matrix=matrix, vector=vector)
+
+
+def reference_eval_cm(term):
+    """The value of an H-free term in the one-letter countermodel, by a
+    recursive walk of the term as a tree: a shared subterm is evaluated
+    once per occurrence."""
+    if isinstance(term, Zero):
+        return UnaryLang.empty()
+    if isinstance(term, One):
+        return UnaryLang.epsilon()
+    if isinstance(term, Atom):
+        return UnaryLang.generator()
+    if isinstance(term, Plus):
+        return cm_plus(reference_eval_cm(term.left), reference_eval_cm(term.right))
+    if isinstance(term, Seq):
+        return cm_dot(reference_eval_cm(term.left), reference_eval_cm(term.right))
+    if isinstance(term, Sync):
+        return cm_sync(reference_eval_cm(term.left), reference_eval_cm(term.right))
+    if isinstance(term, Star):
+        return cm_star(reference_eval_cm(term.inner))
+    raise TypeError("no model value for %r" % (term,))
 
 
 # Naive reference arithmetic on sets of naturals, enumerated up to a

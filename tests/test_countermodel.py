@@ -1,11 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import naive_max, naive_star, naive_sum, naive_union
+from helpers import (
+    naive_max,
+    naive_star,
+    naive_sum,
+    naive_union,
+    reference_eval_cm,
+    term_strategy,
+)
 from synka import (
     DAGGER,
+    Atom,
     HTermError,
+    Plus,
+    Seq,
     SymSet,
     UnaryLang,
     ValuationError,
@@ -17,6 +28,7 @@ from synka import (
     eval_cm,
     model_leq,
     parse_term,
+    to_normal_form,
     word_sync,
 )
 from synka.checks import check_countermodel, sample_model_elements
@@ -121,6 +133,34 @@ def test_eval_examples():
 def test_eval_rejects_h_terms():
     with pytest.raises(HTermError):
         eval_cm(parse_term("H(a)"))
+    # The error names the leftmost-outermost H.
+    with pytest.raises(HTermError, match=r"H: H\(H\(b\)\)$"):
+        eval_cm(parse_term("a* ; H(H(b)) + H(a)"))
+
+
+@settings(max_examples=200)
+@given(term_strategy("a", allow_h=False) | term_strategy("ab", allow_h=False))
+def test_eval_cm_matches_reference(term):
+    assert eval_cm(term) == reference_eval_cm(term)
+    # Solved normal forms share subterms heavily, which the memo exploits.
+    normal = to_normal_form(term)
+    assert eval_cm(normal) == reference_eval_cm(normal)
+
+
+def test_eval_deep_seq_chain():
+    # Twice the default recursion limit deep; a recursive walk overflows.
+    term = Atom("a")
+    for _ in range(2000):
+        term = Seq(term, Atom("a"))
+    assert eval_cm(term) == UnaryLang.from_members((2001,))
+
+
+def test_eval_shared_dag_once_per_node():
+    # 121 distinct nodes, but more than 2^61 nodes as a tree.
+    term = Atom("a")
+    for _ in range(60):
+        term = Plus(Seq(term, Atom("a")), term)
+    assert eval_cm(term) == UnaryLang.from_members(range(1, 62))
 
 
 def test_eval_rejects_non_generator_valuations():
