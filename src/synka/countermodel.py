@@ -341,11 +341,11 @@ def eval_cm(
     Every letter must denote the model's only semilattice element, the
     generator ``{1}``; ``valuation`` may spell that out explicitly.
 
-    Each distinct subterm is evaluated once per call, equal subterms that
-    are separate objects included. The walk uses no Python recursion, so
-    the recursion limit does not bound the term's depth. A term containing
-    H raises ``HTermError`` naming its leftmost-outermost H, before
-    anything beneath that H is evaluated.
+    Each distinct subterm is evaluated once per call: terms are interned,
+    so equal subterms are one node with one memo entry. The walk uses no
+    Python recursion, so the recursion limit does not bound the term's
+    depth. A term containing H raises ``HTermError`` naming its
+    leftmost-outermost H, before anything beneath that H is evaluated.
     """
     generator = UnaryLang.generator()
     if valuation is not None:

@@ -1,12 +1,12 @@
 """Partial derivatives and the syntactic automaton.
 
-``nullable`` tells whether a term accepts the empty word, and
-``transitions`` gives a term's one-step behaviour as a table from each
-symbol set the term can read to its continuation terms (the linear forms
-of Antimirov, "Partial derivatives of regular expressions and finite
-automaton constructions", 1996). It is the only function that encodes the
-derivative rules: ``derive``, the determinized ``step``, ``unfold``, the
-automaton, equivalence and normal forms all read its tables.
+``nullable`` reads off a term's node whether it accepts the empty word,
+and ``transitions`` gives a term's one-step behaviour as a table, kept on
+the node, from each symbol set the term can read to its continuation terms
+(the linear forms of Antimirov, "Partial derivatives of regular expressions
+and finite automaton constructions", 1996). It is the only function that
+encodes the derivative rules: ``derive``, the determinized ``step``,
+``unfold``, the automaton, equivalence and normal forms all read its tables.
 ``reachable_states`` is the closure of a term under ``transitions``: the
 states that automata and linear systems are built over. Together they
 present a term as a state of a nondeterministic automaton whose symbols
@@ -16,42 +16,25 @@ compare it against.
 
 A table lists only the symbols its term can read, and each of them is a
 subset of the term's letters: an atom reads its own letter, and a product
-reads unions of symbols its operands read. Nothing walks the full set of
-nonempty letter subsets to find a term's transitions.
+reads unions of symbols its operands read. Nothing, the automaton and its
+DOT rendering included, walks the full set of nonempty letter subsets.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .language import SyncWord
-from .semilattice import SymSet, canonical_atom, nonempty_subsets
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, letters
-
-# Alphabets beyond this many letters make the automaton's subset alphabet
-# (2^|A| - 1 symbols, listed and rendered in full) impractical on a desk
-# machine.
-SUPPORT_WARN_LIMIT = 8
+from .semilattice import SymSet, canonical_atom
+from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
 
 
-@functools.lru_cache(maxsize=None)
 def nullable(term: Term) -> bool:
     """True when the empty word belongs to the language of ``term``."""
-    if isinstance(term, (Zero, Atom)):
-        return False
-    if isinstance(term, One) or isinstance(term, Star):
-        return True
-    if isinstance(term, Plus):
-        return nullable(term.left) or nullable(term.right)
-    if isinstance(term, (Seq, Sync)):
-        return nullable(term.left) and nullable(term.right)
-    if isinstance(term, H):
-        return nullable(term.inner)
-    raise TypeError("unknown term node %r" % (term,))
+    return term._nullable
 
 
 def _merge(into: dict[SymSet, frozenset[Term]], table: Mapping[SymSet, frozenset[Term]]) -> None:
@@ -60,7 +43,6 @@ def _merge(into: dict[SymSet, frozenset[Term]], table: Mapping[SymSet, frozenset
         into[symbol] = targets if seen is None else seen | targets
 
 
-@functools.lru_cache(maxsize=None)
 def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     """The one-step behaviour of ``term``: each symbol set it can read,
     mapped to the nonempty set of continuation terms.
@@ -68,8 +50,12 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     A product ``e & f`` reads the union of one symbol of each operand and
     continues with the product of their continuations; it also steps as
     ``e`` alone when ``f`` accepts the empty word, and as ``f`` alone when
-    ``e`` does. The table is shared by every caller and is read-only.
+    ``e`` does. The table is built once per node, kept on it, shared by
+    every caller and read-only.
     """
+    cached = term._transitions
+    if cached is not None:
+        return cached
     table: dict[SymSet, frozenset[Term]] = {}
     if isinstance(term, Atom):
         table[SymSet(term.letter)] = frozenset((One(),))
@@ -98,7 +84,8 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
             _merge(table, rights)
     elif not isinstance(term, (Zero, One, H)):
         raise TypeError("unknown term node %r" % (term,))
-    return MappingProxyType(table)
+    term._transitions = MappingProxyType(table)
+    return term._transitions
 
 
 def derive(term: Term, symbols: SymSet) -> frozenset[Term]:
@@ -161,40 +148,27 @@ def reachable_states(term: Term) -> frozenset[Term]:
 
 @dataclass(frozen=True)
 class Automaton:
-    """The syntactic automaton of a term, restricted to its reachable
-    state set. States are terms compared structurally."""
+    """The syntactic automaton of a term over its reachable states, which
+    are interned terms; ``transitions`` holds each state's edges in order."""
 
     initial: Term
     states: tuple[Term, ...]
-    alphabet: tuple[SymSet, ...]
     accepting: frozenset[Term]
     transitions: dict[tuple[Term, SymSet], frozenset[Term]]
 
 
 def build_automaton(term: Term) -> Automaton:
     """Build the automaton whose states are ``reachable_states(term)``,
-    sorted by printed form, with transitions over the nonempty subsets of
-    the term's letters."""
-    support = letters(term)
-    if len(support) > SUPPORT_WARN_LIMIT:
-        warnings.warn(
-            "term uses %d letters; the subset alphabet has %d symbols"
-            % (len(support), 2 ** len(support) - 1),
-            stacklevel=2,
-        )
+    sorted by printed form, with the edges of each state's transition
+    table."""
     states = tuple(sorted(reachable_states(term), key=str))
     edges: dict[tuple[Term, SymSet], frozenset[Term]] = {}
     for state in states:
-        for symbol, targets in transitions(state).items():
-            edges[(state, symbol)] = targets
+        table = transitions(state)
+        for symbol in sorted(table):
+            edges[(state, symbol)] = table[symbol]
     accepting = frozenset(s for s in states if nullable(s))
-    return Automaton(
-        initial=term,
-        states=states,
-        alphabet=nonempty_subsets(support),
-        accepting=accepting,
-        transitions=edges,
-    )
+    return Automaton(initial=term, states=states, accepting=accepting, transitions=edges)
 
 
 def accepts(automaton: Automaton, word: SyncWord) -> bool:
@@ -242,15 +216,11 @@ def to_dot(automaton: Automaton) -> str:
         shape = "doublecircle" if state in automaton.accepting else "circle"
         lines.append("  %s [shape=%s];" % (quote(str(state)), shape))
     lines.append("  __start -> %s;" % quote(str(automaton.initial)))
-    for state in automaton.states:
-        for symbol in automaton.alphabet:
-            targets = automaton.transitions.get((state, symbol))
-            if not targets:
-                continue
-            for target in sorted(targets, key=str):
-                lines.append(
-                    "  %s -> %s [label=%s];"
-                    % (quote(str(state)), quote(str(target)), quote(str(symbol)))
-                )
+    for (state, symbol), targets in automaton.transitions.items():
+        for target in sorted(targets, key=str):
+            lines.append(
+                "  %s -> %s [label=%s];"
+                % (quote(str(state)), quote(str(target)), quote(str(symbol)))
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ value map invertible on canonical terms.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterable
 
@@ -89,14 +88,9 @@ def nonempty_subsets(alphabet: Iterable[str]) -> tuple[SymSet, ...]:
     return tuple(sorted(subsets))
 
 
-@functools.lru_cache(maxsize=None)
 def is_sl_term(term: Term) -> bool:
     """True when ``term`` uses letters and ``&`` only."""
-    if isinstance(term, Atom):
-        return True
-    if isinstance(term, Sync):
-        return is_sl_term(term.left) and is_sl_term(term.right)
-    return False
+    return term._sl
 
 
 def sl_value(term: Term) -> SymSet:

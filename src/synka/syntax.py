@@ -15,7 +15,6 @@ term per line.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import semilattice
@@ -201,20 +200,26 @@ class Fragments:
     sf1: bool = True
 
 
-@functools.lru_cache(maxsize=None)
 def _is_nsf(term: Term) -> bool:
+    """Normal-form grammar membership, kept on the node once computed."""
+    nsf = term._nsf
+    if nsf is not None:
+        return nsf
     if isinstance(term, (Zero, One)):
-        return True
-    if semilattice.is_sl_term(term):
+        nsf = True
+    elif semilattice.is_sl_term(term):
         # Atoms must be fixed points of semilattice normalization.
-        return term == semilattice.normalize_sl(term)
-    if isinstance(term, Plus) or isinstance(term, Seq):
-        return _is_nsf(term.left) and _is_nsf(term.right)
-    if isinstance(term, Star):
-        return _is_nsf(term.inner)
-    # A Sync over non-semilattice operands, or any H, is outside the
-    # normal-form grammar.
-    return False
+        nsf = term is semilattice.normalize_sl(term)
+    elif isinstance(term, Plus) or isinstance(term, Seq):
+        nsf = _is_nsf(term.left) and _is_nsf(term.right)
+    elif isinstance(term, Star):
+        nsf = _is_nsf(term.inner)
+    else:
+        # A Sync over non-semilattice operands, or any H, is outside the
+        # normal-form grammar.
+        nsf = False
+    term._nsf = nsf
+    return nsf
 
 
 def classify(term: Term) -> Fragments:

@@ -148,11 +148,17 @@ def test_eval_cm_matches_reference(term):
 
 
 def test_eval_deep_seq_chain():
-    # Twice the default recursion limit deep; a recursive walk overflows.
-    term = Atom("a")
-    for _ in range(2000):
-        term = Seq(term, Atom("a"))
-    assert eval_cm(term) == UnaryLang.from_members((2001,))
+    # Twice the default recursion limit deep; a recursive walk overflows,
+    # and so does a structural comparison of two separately built chains.
+    def chain():
+        term = Atom("a")
+        for _ in range(2000):
+            term = Seq(term, Atom("a"))
+        return term
+
+    first, second = chain(), chain()
+    assert eval_cm(first) == UnaryLang.from_members((2001,))
+    assert eval_cm(Seq(first, second)) == UnaryLang.from_members((4002,))
 
 
 def test_eval_shared_dag_once_per_node():

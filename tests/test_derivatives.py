@@ -1,7 +1,6 @@
 import random
 import string
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,13 +184,6 @@ def test_unfold_term_shape():
     from synka import Plus
 
     assert unfold_as_term(Atom("a")) == Plus(Zero(), Seq(Atom("a"), One()))
-
-
-def test_support_warning():
-    # Nine letters exceed the desk-scale limit.
-    term = parse_term("a + b + c + d + e + f + g + h + i")
-    with pytest.warns(UserWarning, match="letters"):
-        build_automaton(term)
 
 
 def test_to_dot():
