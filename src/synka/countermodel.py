@@ -13,7 +13,10 @@ concatenation).
 On length sets the operators reduce to arithmetic: union for choice,
 the sum-set for concatenation, the pointwise maximum for the synchronous
 product (the product of two words is as long as the longer one), and the
-additive closure including 0 for iteration.
+additive closure including 0 for iteration. A set is a threshold, a
+period and two ints of bits (the eventually periodic form of Chrobak,
+"Finite automata and unary languages", 1986), and each operator works on
+the bits with shifts, ORs and ANDs, never one natural at a time.
 
 ``eval_cm`` interprets a term with an explicit stack, not Python
 recursion, and memoizes within one call, so each distinct subterm of a
@@ -22,6 +25,7 @@ term that shares subterms (as solved normal forms do) is evaluated once.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable
 from typing import Callable, Union
@@ -49,48 +53,70 @@ class Dagger:
 DAGGER = Dagger()
 
 
-def _canonical(threshold: int, period: int, member: Callable[[int], bool]):
-    """Minimal (threshold, period, low bits, cycle bits) for a set that is
-    ``period``-periodic from ``threshold`` with the given membership."""
-    best = period
-    for candidate in range(1, period + 1):
-        if period % candidate:
-            continue
-        if all(
-            member(threshold + i) == member(threshold + i % candidate)
-            for i in range(period)
-        ):
-            best = candidate
-            break
-    period = best
-    while threshold > 0 and member(threshold - 1) == member(threshold - 1 + period):
-        threshold -= 1
-    low_bits = 0
-    for n in range(threshold):
-        if member(n):
-            low_bits |= 1 << n
-    cycle_bits = 0
-    for i in range(period):
-        if member(threshold + i):
-            cycle_bits |= 1 << i
-    return threshold, period, low_bits, cycle_bits
+def _mask(width: int) -> int:
+    return (1 << width) - 1
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """``count`` copies of the ``width``-bit ``pattern``, the first lowest."""
+    return pattern * (_mask(width * count) // _mask(width))
+
+
+def _lowest(bits: int) -> int:
+    """Index of the lowest set bit of a nonzero int."""
+    return (bits & -bits).bit_length() - 1
 
 
 class UnaryLang:
     """An eventually periodic set of naturals (word lengths over one
     letter), stored canonically: minimal period first, then minimal
     threshold. A natural ``n >= threshold`` belongs exactly when the cycle
-    bit at ``(n - threshold) % period`` is set."""
+    bit at ``(n - threshold) % period`` is set.
+
+    The operations compute on these ints directly: each builds the bits of
+    its result below one threshold and period (a window) with shifts, ORs
+    and ANDs, and canonicalizes the window.
+    """
 
     __slots__ = ("threshold", "period", "low_bits", "cycle_bits", "_hash")
 
     def __init__(self, threshold: int, period: int, member: Callable[[int], bool]):
-        t, p, low, cycle = _canonical(threshold, period, member)
-        self.threshold = t
-        self.period = p
-        self.low_bits = low
-        self.cycle_bits = cycle
-        self._hash = hash((t, p, low, cycle))
+        """The set that is ``period``-periodic from ``threshold``, with the
+        given membership below ``threshold + period``."""
+        self._set(threshold, period, sum(1 << n for n in range(threshold + period) if member(n)))
+
+    @classmethod
+    def _of_window(cls, threshold: int, period: int, bits: int) -> UnaryLang:
+        lang = object.__new__(cls)
+        lang._set(threshold, period, bits)
+        return lang
+
+    def _set(self, threshold: int, period: int, bits: int) -> None:
+        """Store in canonical form the set that is ``period``-periodic from
+        ``threshold`` and whose members below ``threshold + period`` are
+        the set bits of ``bits``."""
+        cycle = bits >> threshold & _mask(period)
+        for candidate in range(1, period):
+            if not period % candidate and cycle == _repeat(
+                cycle & _mask(candidate), candidate, period // candidate
+            ):
+                period = candidate
+                break
+        # Bit n of the XOR is set when n and n + period differ in membership.
+        threshold = ((bits ^ bits >> period) & _mask(threshold)).bit_length()
+        self.threshold = threshold
+        self.period = period
+        self.low_bits = bits & _mask(threshold)
+        self.cycle_bits = bits >> threshold & _mask(period)
+        self._hash = hash((threshold, period, self.low_bits, self.cycle_bits))
+
+    def _window(self, end: int) -> int:
+        """The members below ``end``, as bits."""
+        threshold = self.threshold
+        if end <= threshold:
+            return self.low_bits & _mask(end)
+        cycles = _repeat(self.cycle_bits, self.period, -(-(end - threshold) // self.period))
+        return (self.low_bits | cycles << threshold) & _mask(end)
 
     @classmethod
     def from_members(cls, members: Iterable[int]) -> UnaryLang:
@@ -99,7 +125,7 @@ class UnaryLang:
         if any(v < 0 for v in values):
             raise ValueError("members must be naturals")
         bound = max(values) + 1 if values else 0
-        return cls(bound, 1, lambda n: n in values)
+        return cls._of_window(bound, 1, sum(1 << v for v in values))
 
     @classmethod
     def periodic(
@@ -118,7 +144,8 @@ class UnaryLang:
         offs = {r % period for r in residues}
         if any(v < 0 or v >= threshold for v in lows):
             raise ValueError("low members must lie below the threshold")
-        return cls(threshold, period, lambda n: (n in lows) if n < threshold else ((n - threshold) % period in offs))
+        bits = sum(1 << v for v in lows) | sum(1 << r for r in offs) << threshold
+        return cls._of_window(threshold, period, bits)
 
     @classmethod
     def empty(cls) -> UnaryLang:
@@ -136,7 +163,7 @@ class UnaryLang:
 
     @classmethod
     def naturals(cls) -> UnaryLang:
-        return cls(0, 1, lambda n: True)
+        return cls._of_window(0, 1, 1)
 
     def __contains__(self, n: int) -> bool:
         if n < 0:
@@ -154,9 +181,10 @@ class UnaryLang:
         return bool(self.cycle_bits)
 
     def min_element(self) -> int | None:
-        for n in range(self.threshold + self.period):
-            if n in self:
-                return n
+        if self.low_bits:
+            return _lowest(self.low_bits)
+        if self.cycle_bits:
+            return self.threshold + _lowest(self.cycle_bits)
         return None
 
     def members_upto(self, bound: int) -> list[int]:
@@ -185,27 +213,32 @@ class UnaryLang:
     def union(self, other: UnaryLang) -> UnaryLang:
         period = math.lcm(self.period, other.period)
         threshold = max(self.threshold, other.threshold)
-        return UnaryLang(threshold, period, lambda n: n in self or n in other)
+        end = threshold + period
+        return UnaryLang._of_window(threshold, period, self._window(end) | other._window(end))
 
     def sum_set(self, other: UnaryLang) -> UnaryLang:
         """Concatenation on length sets: all sums of a member of each.
 
         The result repeats with the combined period beyond the sum of the
         thresholds plus one period: above that, any decomposition can
-        shift one of its parts by a full period in either direction.
+        shift one of its parts by a full period in either direction. Its
+        window is the OR of one operand's window shifted by each member of
+        the other's.
         """
         if self.is_empty or other.is_empty:
             return UnaryLang.empty()
         period = math.lcm(self.period, other.period)
         threshold = self.threshold + other.threshold + period
-        horizon = threshold + period
-        mine = self.members_upto(horizon)
+        end = threshold + period
+        mine = self._window(end)
+        theirs = other._window(end)
+        if mine.bit_count() > theirs.bit_count():
+            mine, theirs = theirs, mine
         bits = 0
-        for a in mine:
-            for n in range(a, horizon + 1):
-                if (n - a) in other:
-                    bits |= 1 << n
-        return UnaryLang(threshold, period, lambda n: bool(bits >> n & 1))
+        while mine:
+            bits |= theirs << _lowest(mine)
+            mine &= mine - 1
+        return UnaryLang._of_window(threshold, period, bits & _mask(end))
 
     def max_set(self, other: UnaryLang) -> UnaryLang:
         """Synchronous product on length sets: all pointwise maxima.
@@ -219,11 +252,9 @@ class UnaryLang:
         theirs = other.min_element()
         period = math.lcm(self.period, other.period)
         threshold = max(self.threshold, other.threshold, mine + 1, theirs + 1)
-        return UnaryLang(
-            threshold,
-            period,
-            lambda n: (n in self and theirs <= n) or (n in other and mine <= n),
-        )
+        end = threshold + period
+        bits = self._window(end) & ~_mask(theirs) | other._window(end) & ~_mask(mine)
+        return UnaryLang._of_window(threshold, period, bits)
 
     def star_closure(self) -> UnaryLang:
         """The least set containing 0 and closed under adding members.
@@ -231,57 +262,48 @@ class UnaryLang:
         Let ``p`` be the smallest nonzero member. The closure is itself
         closed under adding ``p``, so within each residue class mod ``p``
         it is exactly the upward ``p``-progression from the class's first
-        member. The classes that ever get populated are computed exactly
-        as a closure in the integers mod ``p``; the first members are then
-        read off a table of small sums, enlarging the table until every
-        populated class has appeared.
+        member (the Apéry set of the closure). A class's first member is a
+        shortest path from class 0, where adding a member steps from one
+        class to another at the cost of the member's size; the smallest
+        member of each class is the only step worth taking.
         """
         # Any nonempty set other than {0} has a nonzero member within one
-        # cycle of the threshold (the cycle window is scanned in full).
-        nonzero = [n for n in self.members_upto(self.threshold + self.period) if n]
+        # cycle of the threshold, inclusive.
+        nonzero = self._window(self.threshold + self.period + 1) & ~1
         if not nonzero:
             return UnaryLang.epsilon()
-        p = nonzero[0]
+        p = _lowest(nonzero)
 
-        # Residues mod p ever hit by the set: tail values cycle with the
-        # set's own period, so one period of cycles covers them all.
-        residue_span = self.threshold + self.period * p
-        generator_residues = {a % p for a in self.members_upto(residue_span)}
-        populated = {0}
-        frontier = [0]
-        while frontier:
-            r = frontier.pop()
-            for g in generator_residues:
-                s = (r + g) % p
-                if s not in populated:
-                    populated.add(s)
-                    frontier.append(s)
+        # Tail members cycle through the classes mod p with the set's own
+        # period, so p periods past the threshold reach every class it hits.
+        members = self._window(self.threshold + self.period * p) & ~1
+        smallest: dict[int, int] = {}
+        while members and len(smallest) < p:
+            n = _lowest(members)
+            smallest.setdefault(n % p, n)
+            members &= members - 1
 
-        bound = max(self.threshold + self.period * (self.threshold + self.period), p * p, 64)
-        while True:
-            members = self.members_upto(bound)
-            reachable = bytearray(bound + 1)
-            reachable[0] = 1
-            for n in range(1, bound + 1):
-                for a in members:
-                    if a > n:
-                        break
-                    if a and reachable[n - a]:
-                        reachable[n] = 1
-                        break
-            first: dict[int, int] = {}
-            for n in range(bound + 1):
-                if reachable[n]:
-                    first.setdefault(n % p, n)
-            if populated <= set(first):
-                break
-            bound *= 2
+        # Dijkstra from class 0: ``first`` maps each class reached to its
+        # first member.
+        first = {0: 0}
+        heap = [(0, 0)]
+        while heap:
+            distance, residue = heapq.heappop(heap)
+            if distance > first[residue]:
+                continue
+            for step_residue, step in smallest.items():
+                target = (residue + step_residue) % p
+                reached = distance + step
+                if target not in first or reached < first[target]:
+                    first[target] = reached
+                    heapq.heappush(heap, (reached, target))
+
         threshold = max(first.values()) + 1
-        return UnaryLang(
-            threshold,
-            p,
-            lambda n: n % p in first and n >= first[n % p],
-        )
+        end = threshold + p
+        bits = 0
+        for n in first.values():
+            bits |= _repeat(1, p, -(-(end - n) // p)) << n
+        return UnaryLang._of_window(threshold, p, bits & _mask(end))
 
 
 ModelElement = Union[Dagger, UnaryLang]

@@ -184,13 +184,15 @@ def accepts(automaton: Automaton, word: SyncWord) -> bool:
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
     """One-step decomposition: the empty-word bit plus all (symbol,
-    continuation) summands, sorted by symbol and then printed term."""
-    summands = [
-        (symbol, target)
-        for symbol, targets in transitions(term).items()
-        for target in targets
-    ]
-    summands.sort(key=lambda item: (item[0], str(item[1])))
+    continuation) summands, sorted by symbol and then printed term. Only
+    continuations that share a symbol are printed."""
+    table = transitions(term)
+    summands = []
+    for symbol in sorted(table):
+        targets = table[symbol]
+        if len(targets) > 1:
+            targets = sorted(targets, key=str)
+        summands.extend((symbol, target) for target in targets)
     return nullable(term), summands
 
 

@@ -13,7 +13,12 @@ nodes, so a node nobody references is freed with all that is recorded on
 it: its letters and whether it is nullable, ``H``-free or a semilattice
 term, set at construction from its operands' facts, and its transition
 table and normal-form membership, filled on first use by ``derivatives``
-and ``syntax``. ``0``, ``1`` and the atoms are fixed instances.
+and ``syntax``. ``0``, ``1`` and the atoms are fixed instances. Pickling
+and copying go back through the constructors, so they give the same node.
+
+``str`` prints a term with minimal parentheses, and ``size`` counts its
+nodes as a tree. Both walk an explicit stack and visit each distinct node
+once, so neither is bounded by the recursion limit or slowed by sharing.
 """
 
 from __future__ import annotations
@@ -76,12 +81,13 @@ class Term:
     def __repr__(self) -> str:
         return "<%s '%s'>" % (type(self).__name__, self)
 
-    def _child(self, child: Term, right_slot: bool = False) -> str:
-        """Render a child, parenthesised only where precedence demands."""
-        need = child.precedence < self.precedence or (
-            right_slot and child.precedence == self.precedence
-        )
-        return "(%s)" % child if need else str(child)
+    def __str__(self) -> str:
+        return _print(self)
+
+    def __reduce__(self):
+        # Pickling and copying rebuild through the constructor, which
+        # returns the interned node.
+        return type(self), _operands(self)
 
 
 class Zero(Term):
@@ -92,9 +98,6 @@ class Zero(Term):
     def __new__(cls):
         return _ZERO
 
-    def __str__(self):
-        return "0"
-
 
 class One(Term):
     """The empty sequence; denotes the language containing only eps."""
@@ -103,9 +106,6 @@ class One(Term):
 
     def __new__(cls):
         return _ONE
-
-    def __str__(self):
-        return "1"
 
 
 class Atom(Term):
@@ -119,8 +119,8 @@ class Atom(Term):
             raise ValueError("letter must be a single character a-z, got %r" % (letter,))
         return node
 
-    def __str__(self):
-        return self.letter
+    def __reduce__(self):
+        return Atom, (self.letter,)
 
 
 class _Binary(Term):
@@ -138,13 +138,6 @@ class _Binary(Term):
         self.right = right
         self._set_facts(left._nullable and right._nullable, left._h_free and right._h_free,
                         False, _union(left._letters, right._letters))
-
-    def __str__(self):
-        return "%s %s %s" % (
-            self._child(self.left),
-            self.symbol,
-            self._child(self.right, right_slot=True),
-        )
 
 
 class Plus(_Binary):
@@ -201,9 +194,6 @@ class Star(_Unary):
         super()._build(inner)
         self._set_facts(True, inner._h_free, False, inner._letters)
 
-    def __str__(self):
-        return self._child(self.inner) + "*"
-
 
 class H(_Unary):
     """Empty-word projection: keeps only eps from the operand's language."""
@@ -213,9 +203,6 @@ class H(_Unary):
     def _build(self, inner: Term) -> None:
         super()._build(inner)
         self._set_facts(inner._nullable, False, False, inner._letters)
-
-    def __str__(self):
-        return "H(%s)" % self.inner
 
 
 def _leaf(cls, nullable: bool) -> Term:
@@ -246,10 +233,92 @@ def h_free(term: Term) -> bool:
     return term._h_free
 
 
+def _operands(term: Term) -> tuple[Term, ...]:
+    if isinstance(term, _Binary):
+        return term.left, term.right
+    if isinstance(term, _Unary):
+        return (term.inner,)
+    return ()
+
+
 def size(term: Term) -> int:
-    """Number of constructor nodes in ``term``."""
-    if isinstance(term, (Zero, One, Atom)):
-        return 1
-    if isinstance(term, (Star, H)):
-        return 1 + size(term.inner)
-    return 1 + size(term.left) + size(term.right)
+    """Number of constructor nodes in ``term`` as a tree, counting a shared
+    subterm once per occurrence. Each distinct node is counted once, with
+    an explicit stack."""
+    counts: dict[Term, int] = {}
+    stack = [(term, False)]
+    while stack:
+        t, ready = stack.pop()
+        if ready:
+            counts[t] = 1 + sum(counts[c] for c in _operands(t))
+        elif t not in counts:
+            stack.append((t, True))
+            stack.extend((c, False) for c in _operands(t))
+    return counts[term]
+
+
+_TEXT = {_ZERO: "0", _ONE: "1", **{atom: letter for letter, atom in _ATOMS.items()}}
+# The text between a binary node's operands, indexed by
+# ``2 * (left is parenthesised) + (right is parenthesised)``.
+_JOINS = {
+    cls: tuple(")" * lw + " %s " % cls.symbol + "(" * rw for lw in (0, 1) for rw in (0, 1))
+    for cls in (Plus, Sync, Seq)
+}
+
+
+def _print(term: Term) -> str:
+    """Render ``term`` with minimal parentheses: a child is parenthesised
+    when it binds looser than its parent, or as tight in a right slot.
+
+    The walk uses an explicit stack and appends fragments to one list. The
+    first time it prints a compound node it records the node's span of the
+    list, and every later occurrence copies that span, so each distinct
+    node is visited once and memory stays linear in the output (a string
+    per node would be quadratic on a chain).
+    """
+    text = _TEXT.get(term)
+    if text is not None:
+        return text
+    out: list[str] = []
+    spans: dict[Term, tuple[int, int]] = {}
+    stack: list = [term]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is tuple:
+            node, start = item
+            spans[node] = (start, len(out))
+        elif item in spans:
+            start, end = spans[item]
+            out.extend(out[start:end])
+        else:
+            push((item, len(out)))
+            cls = type(item)
+            if cls is Star:
+                inner = item.inner
+                if inner.precedence < _PREC_STAR:
+                    push(")*")
+                    push(inner)
+                    push("(")
+                else:
+                    push("*")
+                    push(_TEXT.get(inner, inner))
+            elif cls is H:
+                push(")")
+                push(_TEXT.get(item.inner, item.inner))
+                push("H(")
+            else:
+                prec = cls.precedence
+                left, right = item.left, item.right
+                lw = left.precedence < prec
+                rw = right.precedence <= prec
+                if rw:
+                    push(")")
+                push(_TEXT.get(right, right))
+                push(_JOINS[cls][2 * lw + rw])
+                push(_TEXT.get(left, left))
+                if lw:
+                    push("(")
+    return "".join(out)

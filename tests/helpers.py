@@ -5,14 +5,19 @@ check: equivalence is re-decided by materialized subset construction over
 a product, derivatives are recomputed one symbol at a time by enumerating
 product splits, linear systems are built over the syntactic
 over-approximation of the reachable states, the countermodel value of a
-term is recomputed by a plain recursive tree walk, and the unary-set
-operators are recomputed by plain enumeration up to a horizon.
+term is recomputed by a plain recursive tree walk, a term is printed by
+recursion over it as a tree, and the unary-set operators are recomputed
+by plain enumeration up to a horizon and by ``ReferenceUnaryLang``, which
+tests membership one natural at a time.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections.abc import Iterable
+from typing import Callable
 
 from hypothesis import strategies as st
 
@@ -164,6 +169,265 @@ def reference_eval_cm(term):
     if isinstance(term, Star):
         return cm_star(reference_eval_cm(term.inner))
     raise TypeError("no model value for %r" % (term,))
+
+
+def reference_print(term) -> str:
+    """A term printed by recursion over it as a tree, with minimal
+    parentheses: a child is parenthesised when it binds looser than its
+    parent, or as tight in a right slot."""
+
+    def child(parent, node, right_slot=False):
+        need = node.precedence < parent.precedence or (
+            right_slot and node.precedence == parent.precedence
+        )
+        return "(%s)" % reference_print(node) if need else reference_print(node)
+
+    if isinstance(term, Zero):
+        return "0"
+    if isinstance(term, One):
+        return "1"
+    if isinstance(term, Atom):
+        return term.letter
+    if isinstance(term, Star):
+        return child(term, term.inner) + "*"
+    if isinstance(term, H):
+        return "H(%s)" % reference_print(term.inner)
+    return "%s %s %s" % (child(term, term.left), term.symbol, child(term, term.right, True))
+
+
+def _reference_canonical(threshold: int, period: int, member: Callable[[int], bool]):
+    """Minimal (threshold, period, low bits, cycle bits) for a set that is
+    ``period``-periodic from ``threshold`` with the given membership."""
+    best = period
+    for candidate in range(1, period + 1):
+        if period % candidate:
+            continue
+        if all(
+            member(threshold + i) == member(threshold + i % candidate)
+            for i in range(period)
+        ):
+            best = candidate
+            break
+    period = best
+    while threshold > 0 and member(threshold - 1) == member(threshold - 1 + period):
+        threshold -= 1
+    low_bits = 0
+    for n in range(threshold):
+        if member(n):
+            low_bits |= 1 << n
+    cycle_bits = 0
+    for i in range(period):
+        if member(threshold + i):
+            cycle_bits |= 1 << i
+    return threshold, period, low_bits, cycle_bits
+
+
+class ReferenceUnaryLang:
+    """The countermodel's unary sets as first written: every operation
+    rebuilds its result through a membership test per natural. Kept as the
+    reference for ``UnaryLang``, which must give the same canonical
+    ``(threshold, period, low_bits, cycle_bits)``."""
+
+    __slots__ = ("threshold", "period", "low_bits", "cycle_bits", "_hash")
+
+    def __init__(self, threshold: int, period: int, member: Callable[[int], bool]):
+        t, p, low, cycle = _reference_canonical(threshold, period, member)
+        self.threshold = t
+        self.period = p
+        self.low_bits = low
+        self.cycle_bits = cycle
+        self._hash = hash((t, p, low, cycle))
+
+    @classmethod
+    def from_members(cls, members: Iterable[int]) -> ReferenceUnaryLang:
+        """The finite set of the given naturals."""
+        values = set(members)
+        if any(v < 0 for v in values):
+            raise ValueError("members must be naturals")
+        bound = max(values) + 1 if values else 0
+        return cls(bound, 1, lambda n: n in values)
+
+    @classmethod
+    def periodic(
+        cls,
+        low: Iterable[int],
+        threshold: int,
+        period: int,
+        residues: Iterable[int],
+    ) -> ReferenceUnaryLang:
+        """The set with the given members below ``threshold`` plus every
+        ``n >= threshold`` with ``(n - threshold) % period`` among
+        ``residues``."""
+        if period < 1:
+            raise ValueError("period must be positive")
+        lows = set(low)
+        offs = {r % period for r in residues}
+        if any(v < 0 or v >= threshold for v in lows):
+            raise ValueError("low members must lie below the threshold")
+        return cls(threshold, period, lambda n: (n in lows) if n < threshold else ((n - threshold) % period in offs))
+
+    @classmethod
+    def empty(cls) -> ReferenceUnaryLang:
+        return cls.from_members(())
+
+    @classmethod
+    def epsilon(cls) -> ReferenceUnaryLang:
+        """Only the empty word."""
+        return cls.from_members((0,))
+
+    @classmethod
+    def generator(cls) -> ReferenceUnaryLang:
+        """The single word of length one."""
+        return cls.from_members((1,))
+
+    @classmethod
+    def naturals(cls) -> ReferenceUnaryLang:
+        return cls(0, 1, lambda n: True)
+
+    def __contains__(self, n: int) -> bool:
+        if n < 0:
+            return False
+        if n < self.threshold:
+            return bool(self.low_bits >> n & 1)
+        return bool(self.cycle_bits >> ((n - self.threshold) % self.period) & 1)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.low_bits and not self.cycle_bits
+
+    @property
+    def is_infinite(self) -> bool:
+        return bool(self.cycle_bits)
+
+    def min_element(self) -> int | None:
+        for n in range(self.threshold + self.period):
+            if n in self:
+                return n
+        return None
+
+    def members_upto(self, bound: int) -> list[int]:
+        return [n for n in range(bound + 1) if n in self]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ReferenceUnaryLang)
+            and self.threshold == other.threshold
+            and self.period == other.period
+            and self.low_bits == other.low_bits
+            and self.cycle_bits == other.cycle_bits
+        )
+
+    def __str__(self) -> str:
+        low = ",".join(str(n) for n in range(self.threshold) if self.low_bits >> n & 1)
+        cycle = ",".join(str(i) for i in range(self.period) if self.cycle_bits >> i & 1)
+        return "{%s} + {%s} mod %d from %d" % (low, cycle, self.period, self.threshold)
+
+    def __repr__(self) -> str:
+        return "ReferenceUnaryLang(%s)" % self
+
+    def union(self, other: ReferenceUnaryLang) -> ReferenceUnaryLang:
+        period = math.lcm(self.period, other.period)
+        threshold = max(self.threshold, other.threshold)
+        return ReferenceUnaryLang(threshold, period, lambda n: n in self or n in other)
+
+    def sum_set(self, other: ReferenceUnaryLang) -> ReferenceUnaryLang:
+        """Concatenation on length sets: all sums of a member of each.
+
+        The result repeats with the combined period beyond the sum of the
+        thresholds plus one period: above that, any decomposition can
+        shift one of its parts by a full period in either direction.
+        """
+        if self.is_empty or other.is_empty:
+            return ReferenceUnaryLang.empty()
+        period = math.lcm(self.period, other.period)
+        threshold = self.threshold + other.threshold + period
+        horizon = threshold + period
+        mine = self.members_upto(horizon)
+        bits = 0
+        for a in mine:
+            for n in range(a, horizon + 1):
+                if (n - a) in other:
+                    bits |= 1 << n
+        return ReferenceUnaryLang(threshold, period, lambda n: bool(bits >> n & 1))
+
+    def max_set(self, other: ReferenceUnaryLang) -> ReferenceUnaryLang:
+        """Synchronous product on length sets: all pointwise maxima.
+
+        ``max(a, b) = n`` needs ``n`` in one set and an element at most
+        ``n`` in the other, so above both minima this is just the union.
+        """
+        if self.is_empty or other.is_empty:
+            return ReferenceUnaryLang.empty()
+        mine = self.min_element()
+        theirs = other.min_element()
+        period = math.lcm(self.period, other.period)
+        threshold = max(self.threshold, other.threshold, mine + 1, theirs + 1)
+        return ReferenceUnaryLang(
+            threshold,
+            period,
+            lambda n: (n in self and theirs <= n) or (n in other and mine <= n),
+        )
+
+    def star_closure(self) -> ReferenceUnaryLang:
+        """The least set containing 0 and closed under adding members.
+
+        Let ``p`` be the smallest nonzero member. The closure is itself
+        closed under adding ``p``, so within each residue class mod ``p``
+        it is exactly the upward ``p``-progression from the class's first
+        member. The classes that ever get populated are computed exactly
+        as a closure in the integers mod ``p``; the first members are then
+        read off a table of small sums, enlarging the table until every
+        populated class has appeared.
+        """
+        # Any nonempty set other than {0} has a nonzero member within one
+        # cycle of the threshold (the cycle window is scanned in full).
+        nonzero = [n for n in self.members_upto(self.threshold + self.period) if n]
+        if not nonzero:
+            return ReferenceUnaryLang.epsilon()
+        p = nonzero[0]
+
+        # Residues mod p ever hit by the set: tail values cycle with the
+        # set's own period, so one period of cycles covers them all.
+        residue_span = self.threshold + self.period * p
+        generator_residues = {a % p for a in self.members_upto(residue_span)}
+        populated = {0}
+        frontier = [0]
+        while frontier:
+            r = frontier.pop()
+            for g in generator_residues:
+                s = (r + g) % p
+                if s not in populated:
+                    populated.add(s)
+                    frontier.append(s)
+
+        bound = max(self.threshold + self.period * (self.threshold + self.period), p * p, 64)
+        while True:
+            members = self.members_upto(bound)
+            reachable = bytearray(bound + 1)
+            reachable[0] = 1
+            for n in range(1, bound + 1):
+                for a in members:
+                    if a > n:
+                        break
+                    if a and reachable[n - a]:
+                        reachable[n] = 1
+                        break
+            first: dict[int, int] = {}
+            for n in range(bound + 1):
+                if reachable[n]:
+                    first.setdefault(n % p, n)
+            if populated <= set(first):
+                break
+            bound *= 2
+        threshold = max(first.values()) + 1
+        return ReferenceUnaryLang(
+            threshold,
+            p,
+            lambda n: n % p in first and n >= first[n % p],
+        )
 
 
 # Naive reference arithmetic on sets of naturals, enumerated up to a

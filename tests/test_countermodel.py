@@ -2,8 +2,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    ReferenceUnaryLang,
     naive_max,
     naive_star,
     naive_sum,
@@ -88,6 +90,36 @@ def test_set_arithmetic_against_enumeration():
         )
 
 
+@st.composite
+def _periodic_args(draw):
+    threshold = draw(st.integers(0, 12))
+    period = draw(st.integers(1, 9))
+    low = draw(st.sets(st.integers(0, max(threshold - 1, 0)))) if threshold else set()
+    residues = draw(st.sets(st.integers(0, period - 1)))
+    return sorted(low), threshold, period, sorted(residues)
+
+
+def _canonical(lang):
+    return lang.threshold, lang.period, lang.low_bits, lang.cycle_bits
+
+
+@settings(max_examples=400)
+@given(_periodic_args(), _periodic_args())
+def test_unary_ops_match_reference(a_args, b_args):
+    a, b = UnaryLang.periodic(*a_args), UnaryLang.periodic(*b_args)
+    ref_a, ref_b = ReferenceUnaryLang.periodic(*a_args), ReferenceUnaryLang.periodic(*b_args)
+    assert _canonical(a) == _canonical(ref_a)
+    assert hash(a) == hash(ref_a) and a.min_element() == ref_a.min_element()
+    # The public constructor canonicalizes a longer threshold and period.
+    wide = (a.threshold + 3, 2 * a.period, a.__contains__)
+    assert _canonical(UnaryLang(*wide)) == _canonical(ReferenceUnaryLang(*wide)) == _canonical(a)
+    assert _canonical(a.union(b)) == _canonical(ref_a.union(ref_b))
+    assert _canonical(a.sum_set(b)) == _canonical(ref_a.sum_set(ref_b))
+    if not a.is_empty and not b.is_empty:
+        assert _canonical(a.max_set(b)) == _canonical(ref_a.max_set(ref_b))
+    assert _canonical(a.star_closure()) == _canonical(ref_a.star_closure())
+
+
 def test_operator_priorities():
     assert cm_dot(UnaryLang.empty(), DAGGER) == UnaryLang.empty()
     assert cm_dot(DAGGER, UnaryLang.empty()) == UnaryLang.empty()
@@ -148,17 +180,19 @@ def test_eval_cm_matches_reference(term):
 
 
 def test_eval_deep_seq_chain():
-    # Twice the default recursion limit deep; a recursive walk overflows,
-    # and so does a structural comparison of two separately built chains.
+    # Five times the default recursion limit deep; a recursive walk
+    # overflows, and so does a structural comparison of two separately
+    # built chains. Each sum grows the set's bits by one, so the model
+    # arithmetic must not cost a Python step per natural.
     def chain():
         term = Atom("a")
-        for _ in range(2000):
+        for _ in range(5000):
             term = Seq(term, Atom("a"))
         return term
 
     first, second = chain(), chain()
-    assert eval_cm(first) == UnaryLang.from_members((2001,))
-    assert eval_cm(Seq(first, second)) == UnaryLang.from_members((4002,))
+    assert eval_cm(first) == UnaryLang.from_members((5001,))
+    assert eval_cm(Seq(first, second)) == UnaryLang.from_members((10002,))
 
 
 def test_eval_shared_dag_once_per_node():

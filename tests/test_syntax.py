@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from helpers import term_strategy
+from helpers import reference_print, term_strategy
 from synka import (
     Atom,
     H,
@@ -18,6 +18,7 @@ from synka import (
     parse_term,
     parse_term_file,
     print_term,
+    to_normal_form,
 )
 
 
@@ -74,6 +75,25 @@ def test_print_examples():
 @given(term_strategy("abc"))
 def test_roundtrip(term):
     assert parse_term(print_term(term)) == term
+
+
+@settings(max_examples=200)
+@given(term_strategy("ab", max_leaves=12) | term_strategy("abc"))
+def test_print_matches_reference(term):
+    # Solved normal forms share subterms heavily, which the printer copies
+    # by span; the reference prints every occurrence again.
+    for t in (term, to_normal_form(term)):
+        assert print_term(t) == str(t) == reference_print(t)
+
+
+def test_deep_chain_roundtrip():
+    # Fifteen times the depth at which a recursive printer overflowed.
+    term = Atom("a")
+    for i in range(1, 5000):
+        term = Seq(term, Atom("ab"[i % 2]))
+    printed = print_term(term)
+    assert printed == " ; ".join("ab"[i % 2] for i in range(5000))
+    assert parse_term(printed) is term
 
 
 def test_parse_term_file():

@@ -1,6 +1,8 @@
 """Interned terms: one node per structure, and facts kept on the node."""
 
+import copy
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -23,6 +25,7 @@ from synka import (
     letters,
     nullable,
     parse_term,
+    size,
     to_normal_form,
     transitions,
 )
@@ -110,3 +113,24 @@ def test_unreferenced_term_is_freed():
     del term
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("text", ["0", "1", "a", "(a ; b)* & H(c + 1)", "H(a)* + 0 ; 1"])
+def test_pickle_and_copy_give_the_interned_node(text):
+    term = parse_term(text)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(term, protocol)) is term
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+
+
+def test_size_counts_tree_nodes_without_recursion():
+    assert size(parse_term("a")) == 1
+    assert size(parse_term("(a ; b)* & H(a + 1)")) == 9
+    assert size(_chain(5000)) == 9999
+    # t(k+1) = t(k) ; a + t(k) has 2k + 1 distinct nodes, but 4 * 2^k - 3
+    # nodes as a tree.
+    term = Atom("a")
+    for _ in range(60):
+        term = Plus(Seq(term, Atom("a")), term)
+    assert size(term) == 4 * 2**60 - 3
