@@ -20,9 +20,9 @@ from .derivatives import (
     accepts,
     build_automaton,
     derive,
+    member,
     nullable,
     reachable_states,
-    reachable_terms,
     step,
     to_dot,
     transitions,
@@ -34,7 +34,6 @@ from .equivalence import (
     EquivResult,
     StateLimitError,
     equiv,
-    member,
 )
 from .language import (
     BoundedLang,
@@ -96,7 +95,7 @@ __all__ = [
     "lang_union", "letters", "member", "model_leq", "nonempty_subsets",
     "normalize_sl", "nullable", "parse_symset", "parse_term",
     "parse_term_file", "parse_word", "pi_lang", "pi_word", "print_term",
-    "reachable_states", "reachable_terms", "sem_bounded", "size",
-    "sl_equal", "sl_value", "solve", "step", "to_dot", "to_normal_form",
-    "transitions", "unfold", "unfold_as_term", "word_sync",
+    "reachable_states", "sem_bounded", "size", "sl_equal", "sl_value",
+    "solve", "step", "to_dot", "to_normal_form", "transitions", "unfold",
+    "unfold_as_term", "word_sync",
 ]

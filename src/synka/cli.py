@@ -16,8 +16,8 @@ import sys
 from .checks import SUITES
 from .countermodel import eval_cm
 from .derivatives import build_automaton, to_dot
+from .derivatives import member as word_member
 from .equivalence import DEFAULT_PAIR_CAP, StateLimitError, equiv
-from .equivalence import member as word_member
 from .language import format_word, parse_word
 from .normalform import build_system, format_system, solve
 from .syntax import parse_term, parse_term_file, print_term

@@ -5,14 +5,13 @@ and ``transitions`` gives a term's one-step behaviour as a table, kept on
 the node, from each symbol set the term can read to its continuation terms
 (the linear forms of Antimirov, "Partial derivatives of regular expressions
 and finite automaton constructions", 1996). It is the only function that
-encodes the derivative rules: ``derive``, the determinized ``step``,
-``unfold``, the automaton, equivalence and normal forms all read its tables.
+encodes the derivative rules: ``derive``, the determinized ``step``, word
+``member``ship, ``unfold``, the automaton, equivalence and normal forms all
+read its tables.
 ``reachable_states`` is the closure of a term under ``transitions``: the
 states that automata and linear systems are built over. Together they
 present a term as a state of a nondeterministic automaton whose symbols
-are nonempty letter sets. ``reachable_terms`` is a syntactic
-over-approximation of that closure, kept as the reference the tests
-compare it against.
+are nonempty letter sets.
 
 A table lists only the symbols its term can read, and each of them is a
 subset of the term's letters: an atom reads its own letter, and a product
@@ -22,7 +21,6 @@ DOT rendering included, walks the full set of nonempty letter subsets.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -103,33 +101,15 @@ def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
     return merged
 
 
-@functools.lru_cache(maxsize=None)
-def reachable_terms(term: Term) -> frozenset[Term]:
-    """A finite set containing every term reachable from ``term`` by
-    iterated derivatives (the term itself may be absent)."""
-    if isinstance(term, Zero):
-        return frozenset()
-    if isinstance(term, One):
-        return frozenset((One(),))
-    if isinstance(term, Atom):
-        return frozenset((One(), term))
-    if isinstance(term, H):
-        return frozenset((One(),))
-    if isinstance(term, Plus):
-        return reachable_terms(term.left) | reachable_terms(term.right)
-    if isinstance(term, Seq):
-        out = {Seq(t, term.right) for t in reachable_terms(term.left)}
-        return frozenset(out) | reachable_terms(term.right)
-    if isinstance(term, Star):
-        out = {Seq(t, term) for t in reachable_terms(term.inner)}
-        out.add(One())
-        return frozenset(out)
-    if isinstance(term, Sync):
-        lefts = reachable_terms(term.left)
-        rights = reachable_terms(term.right)
-        out = {Sync(lt, rt) for lt in lefts for rt in rights}
-        return frozenset(out) | lefts | rights
-    raise TypeError("unknown term node %r" % (term,))
+def member(word: SyncWord, term: Term) -> bool:
+    """Word membership by iterated derivatives; no automaton is built. A
+    symbol no current state can read rejects immediately."""
+    current: frozenset[Term] | None = frozenset((term,))
+    for symbol in word:
+        current = step(current).get(symbol)
+        if not current:
+            return False
+    return any(nullable(state) for state in current)
 
 
 def reachable_states(term: Term) -> frozenset[Term]:
@@ -172,14 +152,9 @@ def build_automaton(term: Term) -> Automaton:
 
 
 def accepts(automaton: Automaton, word: SyncWord) -> bool:
-    """Standard nondeterministic acceptance; a symbol no current state can
-    read rejects immediately."""
-    current = frozenset((automaton.initial,))
-    for symbol in word:
-        current = step(current).get(symbol)
-        if not current:
-            return False
-    return any(state in automaton.accepting for state in current)
+    """Standard nondeterministic acceptance from the automaton's initial
+    state."""
+    return member(word, automaton.initial)
 
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:

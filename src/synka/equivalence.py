@@ -42,16 +42,6 @@ class EquivResult:
         return self.equivalent
 
 
-def member(word: SyncWord, term: Term) -> bool:
-    """Word membership by iterated derivatives; no automaton is built."""
-    current: frozenset[Term] | None = frozenset((term,))
-    for symbol in word:
-        current = step(current).get(symbol)
-        if not current:
-            return False
-    return any(nullable(state) for state in current)
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}

@@ -11,6 +11,11 @@ Grammar (binary operators left-associative, ``*`` binds tightest):
 Letters are single characters ``a``-``z``. Whitespace is insignificant and
 ``#`` starts a comment running to the end of the line. Term files hold one
 term per line.
+
+``parse_term`` is one loop over the characters of the text that keeps an
+operand stack and an operator stack, so nesting depth is bounded by
+memory, not by the recursion limit. It reads the operators' symbols and
+binding strengths from the term classes, as the printer does.
 """
 
 from __future__ import annotations
@@ -40,33 +45,10 @@ class UnknownLetterError(TermSyntaxError):
         self.letter = letter
 
 
-class _Tokens:
-    def __init__(self, text: str, alphabet: frozenset[str] | None):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def _skip(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
-
-    def peek(self) -> tuple[str, int]:
-        """Next character (or '' at end of input) and its offset."""
-        self._skip()
-        if self.pos >= len(self.text):
-            return "", self.pos
-        return self.text[self.pos], self.pos
-
-    def advance(self) -> None:
-        self.pos += 1
+# Whitespace, and the "#" that starts a comment running to the end of the line.
+_BLANK = frozenset(" \t\r\n#")
+_LEAVES = {"0": Zero(), "1": One(), **{letter: Atom(letter) for letter in LETTERS}}
+_BINARY = {cls.symbol: cls for cls in (Plus, Sync, Seq)}
 
 
 def parse_term(text: str, alphabet: str | frozenset[str] | None = None) -> Term:
@@ -76,91 +58,68 @@ def parse_term(text: str, alphabet: str | frozenset[str] | None = None) -> Term:
     ``UnknownLetterError``; otherwise the alphabet is whatever letters
     occur in the input.
     """
-    declared = frozenset(alphabet) if alphabet is not None else None
-    tokens = _Tokens(text, declared)
-    term = _parse_plus(tokens)
-    ch, pos = tokens.peek()
-    if ch:
-        raise TermSyntaxError("unexpected %r" % ch, pos)
-    return term
-
-
-def _parse_plus(tokens: _Tokens) -> Term:
-    term = _parse_sync(tokens)
+    unknown = LETTERS - frozenset(alphabet) if alphabet is not None else frozenset()
+    operands: list[Term] = []
+    # Binary operator classes, and the open groups "(" and "H(" as strings.
+    operators: list = []
+    want_term = True
+    after_h = False
+    pos, end = 0, len(text)
     while True:
-        ch, _ = tokens.peek()
-        if ch != "+":
-            return term
-        tokens.advance()
-        term = Plus(term, _parse_sync(tokens))
-
-
-def _parse_sync(tokens: _Tokens) -> Term:
-    term = _parse_chain(tokens)
-    while True:
-        ch, _ = tokens.peek()
-        if ch != "&":
-            return term
-        tokens.advance()
-        term = Sync(term, _parse_chain(tokens))
-
-
-def _parse_chain(tokens: _Tokens) -> Term:
-    term = _parse_starred(tokens)
-    while True:
-        ch, _ = tokens.peek()
-        if ch != ";":
-            return term
-        tokens.advance()
-        term = Seq(term, _parse_starred(tokens))
-
-
-def _parse_starred(tokens: _Tokens) -> Term:
-    term = _parse_primary(tokens)
-    while True:
-        ch, _ = tokens.peek()
-        if ch != "*":
-            return term
-        tokens.advance()
-        term = Star(term)
-
-
-def _parse_primary(tokens: _Tokens) -> Term:
-    ch, pos = tokens.peek()
-    if ch == "":
-        raise TermSyntaxError("expected a term, found end of input", pos)
-    if ch == "0":
-        tokens.advance()
-        return Zero()
-    if ch == "1":
-        tokens.advance()
-        return One()
-    if ch == "(":
-        tokens.advance()
-        term = _parse_plus(tokens)
-        closing, cpos = tokens.peek()
-        if closing != ")":
-            raise TermSyntaxError("expected ')'", cpos)
-        tokens.advance()
-        return term
-    if ch == "H":
-        tokens.advance()
-        opening, opos = tokens.peek()
-        if opening != "(":
-            raise TermSyntaxError("expected '(' after H", opos)
-        tokens.advance()
-        term = _parse_plus(tokens)
-        closing, cpos = tokens.peek()
-        if closing != ")":
-            raise TermSyntaxError("expected ')'", cpos)
-        tokens.advance()
-        return H(term)
-    if ch in LETTERS:
-        if tokens.alphabet is not None and ch not in tokens.alphabet:
-            raise UnknownLetterError(ch, pos)
-        tokens.advance()
-        return Atom(ch)
-    raise TermSyntaxError("expected a term, found %r" % ch, pos)
+        while pos < end and text[pos] in _BLANK:
+            if text[pos] == "#":
+                newline = text.find("\n", pos)
+                pos = end if newline < 0 else newline
+            else:
+                pos += 1
+        ch = text[pos] if pos < end else ""
+        if after_h:
+            if ch != "(":
+                raise TermSyntaxError("expected '(' after H", pos)
+            operators.append("H(")
+            after_h = False
+        elif want_term:
+            if ch in unknown:
+                raise UnknownLetterError(ch, pos)
+            leaf = _LEAVES.get(ch)
+            if leaf is not None:
+                operands.append(leaf)
+                want_term = False
+            elif ch == "(":
+                operators.append("(")
+            elif ch == "H":
+                after_h = True
+            elif ch:
+                raise TermSyntaxError("expected a term, found %r" % ch, pos)
+            else:
+                raise TermSyntaxError("expected a term, found end of input", pos)
+        elif ch == "*":
+            operands[-1] = Star(operands[-1])
+        else:
+            # A binary operator reduces the operators that bind at least as
+            # tightly (all associate to the left); anything else ends the
+            # innermost group, or the whole term, and reduces all of it.
+            cls = _BINARY.get(ch)
+            floor = cls.precedence if cls is not None else 0
+            while operators:
+                top = operators[-1]
+                if type(top) is str or top.precedence < floor:
+                    break
+                right = operands.pop()
+                operands[-1] = operators.pop()(operands[-1], right)
+            if cls is not None:
+                operators.append(cls)
+                want_term = True
+            elif ch == ")" and operators:
+                if operators.pop() == "H(":
+                    operands[-1] = H(operands[-1])
+            elif operators:
+                raise TermSyntaxError("expected ')'", pos)
+            elif ch:
+                raise TermSyntaxError("unexpected %r" % ch, pos)
+            else:
+                return operands[0]
+        pos += 1
 
 
 def parse_term_file(text: str, alphabet: str | frozenset[str] | None = None) -> list[Term]:

@@ -14,7 +14,8 @@ it: its letters and whether it is nullable, ``H``-free or a semilattice
 term, set at construction from its operands' facts, and its transition
 table and normal-form membership, filled on first use by ``derivatives``
 and ``syntax``. ``0``, ``1`` and the atoms are fixed instances. Pickling
-and copying go back through the constructors, so they give the same node.
+and copying go back through the constructors, so they give the same node;
+a deep copy is the node itself.
 
 ``str`` prints a term with minimal parentheses, and ``size`` counts its
 nodes as a tree. Both walk an explicit stack and visit each distinct node
@@ -88,6 +89,10 @@ class Term:
         # Pickling and copying rebuild through the constructor, which
         # returns the interned node.
         return type(self), _operands(self)
+
+    def __deepcopy__(self, memo) -> Term:
+        # A node is immutable, so it is its own deep copy, at any depth.
+        return self
 
 
 class Zero(Term):

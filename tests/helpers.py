@@ -3,12 +3,13 @@
 The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
 a product, derivatives are recomputed one symbol at a time by enumerating
-product splits, linear systems are built over the syntactic
-over-approximation of the reachable states, the countermodel value of a
-term is recomputed by a plain recursive tree walk, a term is printed by
-recursion over it as a tree, and the unary-set operators are recomputed
-by plain enumeration up to a horizon and by ``ReferenceUnaryLang``, which
-tests membership one natural at a time.
+product splits, linear systems are built over ``reachable_terms``, a
+syntactic over-approximation of the reachable states, the countermodel
+value of a term is recomputed by a plain recursive tree walk, a term is
+printed by recursion over it as a tree and parsed by recursive descent,
+and the unary-set operators are recomputed by plain enumeration up to a
+horizon and by ``ReferenceUnaryLang``, which tests membership one natural
+at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from synka import (
     Star,
     SymSet,
     Sync,
+    Term,
+    TermSyntaxError,
     UnaryLang,
+    UnknownLetterError,
     Zero,
     build_automaton,
     canonical_atom,
@@ -42,9 +46,9 @@ from synka import (
     letters,
     nonempty_subsets,
     nullable,
-    reachable_terms,
     transitions,
 )
+from synka.terms import LETTERS
 
 
 def brute_force_equiv(e, f) -> bool:
@@ -128,6 +132,36 @@ def reference_derive(term, symbols: SymSet) -> frozenset:
     raise TypeError("unknown term node %r" % (term,))
 
 
+@functools.lru_cache(maxsize=None)
+def reachable_terms(term: Term) -> frozenset[Term]:
+    """A finite set containing every term reachable from ``term`` by
+    iterated derivatives (the term itself may be absent): a syntactic
+    over-approximation of ``reachable_states``."""
+    if isinstance(term, Zero):
+        return frozenset()
+    if isinstance(term, One):
+        return frozenset((One(),))
+    if isinstance(term, Atom):
+        return frozenset((One(), term))
+    if isinstance(term, H):
+        return frozenset((One(),))
+    if isinstance(term, Plus):
+        return reachable_terms(term.left) | reachable_terms(term.right)
+    if isinstance(term, Seq):
+        out = {Seq(t, term.right) for t in reachable_terms(term.left)}
+        return frozenset(out) | reachable_terms(term.right)
+    if isinstance(term, Star):
+        out = {Seq(t, term) for t in reachable_terms(term.inner)}
+        out.add(One())
+        return frozenset(out)
+    if isinstance(term, Sync):
+        lefts = reachable_terms(term.left)
+        rights = reachable_terms(term.right)
+        out = {Sync(lt, rt) for lt in lefts for rt in rights}
+        return frozenset(out) | lefts | rights
+    raise TypeError("unknown term node %r" % (term,))
+
+
 def reference_build_system(term) -> LinearSystem:
     """The linear system of a term over ``reachable_terms(term)`` plus the
     term itself: a superset of the states its transitions reach, in the
@@ -193,6 +227,126 @@ def reference_print(term) -> str:
     if isinstance(term, H):
         return "H(%s)" % reference_print(term.inner)
     return "%s %s %s" % (child(term, term.left), term.symbol, child(term, term.right, True))
+
+
+class _Tokens:
+    def __init__(self, text: str, alphabet: frozenset[str] | None):
+        self.text = text
+        self.alphabet = alphabet
+        self.pos = 0
+
+    def _skip(self) -> None:
+        text = self.text
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if ch in " \t\r\n":
+                self.pos += 1
+            elif ch == "#":
+                while self.pos < len(text) and text[self.pos] != "\n":
+                    self.pos += 1
+            else:
+                return
+
+    def peek(self) -> tuple[str, int]:
+        """Next character (or '' at end of input) and its offset."""
+        self._skip()
+        if self.pos >= len(self.text):
+            return "", self.pos
+        return self.text[self.pos], self.pos
+
+    def advance(self) -> None:
+        self.pos += 1
+
+
+def reference_parse(text: str, alphabet: str | frozenset[str] | None = None) -> Term:
+    """A term parsed by recursive descent, one function per precedence
+    level: the same grammar, nodes, errors and positions as ``parse_term``,
+    bounded by the recursion limit."""
+    declared = frozenset(alphabet) if alphabet is not None else None
+    tokens = _Tokens(text, declared)
+    term = _parse_plus(tokens)
+    ch, pos = tokens.peek()
+    if ch:
+        raise TermSyntaxError("unexpected %r" % ch, pos)
+    return term
+
+
+def _parse_plus(tokens: _Tokens) -> Term:
+    term = _parse_sync(tokens)
+    while True:
+        ch, _ = tokens.peek()
+        if ch != "+":
+            return term
+        tokens.advance()
+        term = Plus(term, _parse_sync(tokens))
+
+
+def _parse_sync(tokens: _Tokens) -> Term:
+    term = _parse_chain(tokens)
+    while True:
+        ch, _ = tokens.peek()
+        if ch != "&":
+            return term
+        tokens.advance()
+        term = Sync(term, _parse_chain(tokens))
+
+
+def _parse_chain(tokens: _Tokens) -> Term:
+    term = _parse_starred(tokens)
+    while True:
+        ch, _ = tokens.peek()
+        if ch != ";":
+            return term
+        tokens.advance()
+        term = Seq(term, _parse_starred(tokens))
+
+
+def _parse_starred(tokens: _Tokens) -> Term:
+    term = _parse_primary(tokens)
+    while True:
+        ch, _ = tokens.peek()
+        if ch != "*":
+            return term
+        tokens.advance()
+        term = Star(term)
+
+
+def _parse_primary(tokens: _Tokens) -> Term:
+    ch, pos = tokens.peek()
+    if ch == "":
+        raise TermSyntaxError("expected a term, found end of input", pos)
+    if ch == "0":
+        tokens.advance()
+        return Zero()
+    if ch == "1":
+        tokens.advance()
+        return One()
+    if ch == "(":
+        tokens.advance()
+        term = _parse_plus(tokens)
+        closing, cpos = tokens.peek()
+        if closing != ")":
+            raise TermSyntaxError("expected ')'", cpos)
+        tokens.advance()
+        return term
+    if ch == "H":
+        tokens.advance()
+        opening, opos = tokens.peek()
+        if opening != "(":
+            raise TermSyntaxError("expected '(' after H", opos)
+        tokens.advance()
+        term = _parse_plus(tokens)
+        closing, cpos = tokens.peek()
+        if closing != ")":
+            raise TermSyntaxError("expected ')'", cpos)
+        tokens.advance()
+        return H(term)
+    if ch in LETTERS:
+        if tokens.alphabet is not None and ch not in tokens.alphabet:
+            raise UnknownLetterError(ch, pos)
+        tokens.advance()
+        return Atom(ch)
+    raise TermSyntaxError("expected a term, found %r" % ch, pos)
 
 
 def _reference_canonical(threshold: int, period: int, member: Callable[[int], bool]):

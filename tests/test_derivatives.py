@@ -4,7 +4,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_derive, term_strategy
+from helpers import reachable_terms, reference_derive, term_strategy
 from synka import (
     Atom,
     H,
@@ -23,7 +23,6 @@ from synka import (
     parse_term,
     parse_word,
     reachable_states,
-    reachable_terms,
     sem_bounded,
     to_dot,
     unfold,

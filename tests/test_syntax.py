@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_print, term_strategy
+from helpers import reference_parse, reference_print, term_strategy
 from synka import (
     Atom,
     H,
@@ -72,9 +73,12 @@ def test_print_examples():
     assert print_term(Star(Star(Atom("a")))) == "a**"
 
 
-@given(term_strategy("abc"))
+@settings(max_examples=300)
+@given(term_strategy("abc", max_leaves=12))
 def test_roundtrip(term):
-    assert parse_term(print_term(term)) == term
+    # The parser and the recursive-descent reference both give the term back.
+    text = print_term(term)
+    assert parse_term(text) is reference_parse(text) is term
 
 
 @settings(max_examples=200)
@@ -93,6 +97,31 @@ def test_deep_chain_roundtrip():
         term = Seq(term, Atom("ab"[i % 2]))
     printed = print_term(term)
     assert printed == " ; ".join("ab"[i % 2] for i in range(5000))
+    assert parse_term(printed) is term
+
+
+def _outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except TermSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+
+
+@settings(max_examples=1000)
+@given(st.text("ab()+&;*H01 #\n\tz)", max_size=16), st.sampled_from([None, "ab"]))
+def test_parse_matches_reference_on_any_text(text, alphabet):
+    # The same node, or the same error class, message and offset.
+    assert _outcome(parse_term, text, alphabet) == _outcome(reference_parse, text, alphabet)
+
+
+def test_deep_nesting_parses():
+    # Far past the recursion limit, which bounded the recursive parser.
+    assert parse_term("(" * 5000 + "a" + ")" * 5000) is Atom("a")
+    term = Atom("a")
+    for _ in range(5000):
+        term = H(term)
+    printed = print_term(term)
+    assert printed == "H(" * 5000 + "a" + ")" * 5000
     assert parse_term(printed) is term
 
 

@@ -124,6 +124,12 @@ def test_pickle_and_copy_give_the_interned_node(text):
     assert copy.deepcopy(term) is term
 
 
+def test_deep_copy_of_a_deep_term_is_the_node():
+    # Far past the recursion limit; an immutable node is its own deep copy.
+    chain = _chain(5000)
+    assert copy.deepcopy(chain) is chain
+
+
 def test_size_counts_tree_nodes_without_recursion():
     assert size(parse_term("a")) == 1
     assert size(parse_term("(a ; b)* & H(a + 1)")) == 9
