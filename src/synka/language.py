@@ -11,8 +11,7 @@ ever needs an operand word beyond it.
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .semilattice import SymSet, canonical_atom, parse_symset
 from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
@@ -155,28 +154,41 @@ def lang_h(k: BoundedLang) -> BoundedLang:
     return BoundedLang(k.bound, (w for w in k.words if not w))
 
 
-@functools.lru_cache(maxsize=None)
+_LANG_OPS = {Plus: lang_union, Seq: lang_concat, Sync: lang_sync, Star: lang_star, H: lang_h}
+
+
 def sem_bounded(term: Term, bound: int) -> BoundedLang:
-    """All words of the language of ``term`` of length at most ``bound``."""
-    if isinstance(term, Zero):
-        return BoundedLang(bound)
-    if isinstance(term, One):
-        return BoundedLang(bound, ((),))
-    if isinstance(term, Atom):
-        if bound < 1:
-            return BoundedLang(bound)
-        return BoundedLang(bound, ((SymSet(term.letter),),))
-    if isinstance(term, Plus):
-        return lang_union(sem_bounded(term.left, bound), sem_bounded(term.right, bound))
-    if isinstance(term, Seq):
-        return lang_concat(sem_bounded(term.left, bound), sem_bounded(term.right, bound))
-    if isinstance(term, Sync):
-        return lang_sync(sem_bounded(term.left, bound), sem_bounded(term.right, bound))
-    if isinstance(term, Star):
-        return lang_star(sem_bounded(term.inner, bound))
-    if isinstance(term, H):
-        return lang_h(sem_bounded(term.inner, bound))
-    raise TypeError("unknown term node %r" % (term,))
+    """All words of the language of ``term`` of length at most ``bound``.
+
+    Each distinct subterm is computed once per call, in post-order over an
+    explicit stack, so the recursion limit does not bound the term's depth.
+    Nothing is kept between calls.
+    """
+    memo: dict[Term, BoundedLang] = {Zero(): BoundedLang(bound), One(): BoundedLang(bound, ((),))}
+    # An operator node goes back on the stack beneath its operands together
+    # with the language operation that combines their values.
+    stack: list[tuple[Term, Callable[..., BoundedLang] | None]] = [(term, None)]
+    while stack:
+        t, combine = stack.pop()
+        if combine is not None:
+            if isinstance(t, (Star, H)):
+                memo[t] = combine(memo[t.inner])
+            else:
+                memo[t] = combine(memo[t.left], memo[t.right])
+        elif t in memo:
+            continue
+        elif isinstance(t, Atom):
+            memo[t] = BoundedLang(bound, ((SymSet(t.letter),),) if bound >= 1 else ())
+        elif type(t) in _LANG_OPS:
+            stack.append((t, _LANG_OPS[type(t)]))
+            if isinstance(t, (Star, H)):
+                stack.append((t.inner, None))
+            else:
+                stack.append((t.right, None))
+                stack.append((t.left, None))
+        else:
+            raise TypeError("unknown term node %r" % (t,))
+    return memo[term]
 
 
 def pi_word(word: SyncWord) -> tuple[Term, ...]:

@@ -15,7 +15,8 @@ term, set at construction from its operands' facts, and its transition
 table and normal-form membership, filled on first use by ``derivatives``
 and ``syntax``. ``0``, ``1`` and the atoms are fixed instances. Pickling
 and copying go back through the constructors, so they give the same node;
-a deep copy is the node itself.
+a pickle holds a flat post-order tuple of the distinct nodes, so neither
+depth nor sharing makes it recurse or grow. A deep copy is the node itself.
 
 ``str`` prints a term with minimal parentheses, and ``size`` counts its
 nodes as a tree. Both walk an explicit stack and visit each distinct node
@@ -86,9 +87,9 @@ class Term:
         return _print(self)
 
     def __reduce__(self):
-        # Pickling and copying rebuild through the constructor, which
-        # returns the interned node.
-        return type(self), _operands(self)
+        # Pickling and copying rebuild through the constructors, which
+        # return the interned nodes, from a flat encoding.
+        return _rebuild, (_flatten(self),)
 
     def __deepcopy__(self, memo) -> Term:
         # A node is immutable, so it is its own deep copy, at any depth.
@@ -123,9 +124,6 @@ class Atom(Term):
         if node is None:
             raise ValueError("letter must be a single character a-z, got %r" % (letter,))
         return node
-
-    def __reduce__(self):
-        return Atom, (self.letter,)
 
 
 class _Binary(Term):
@@ -262,6 +260,37 @@ def size(term: Term) -> int:
     return counts[term]
 
 
+def _flatten(term: Term) -> tuple:
+    """``term`` as a post-order tuple of its distinct nodes: a leaf is its
+    text (``"0"``, ``"1"`` or its letter), and a compound node is its class
+    followed by the positions of its operands in the tuple."""
+    position: dict[Term, int] = {}
+    nodes: list = []
+    stack = [(term, False)]
+    while stack:
+        t, ready = stack.pop()
+        if ready:
+            position[t] = len(nodes)
+            operands = _operands(t)
+            nodes.append((type(t), *(position[c] for c in operands)) if operands else _TEXT[t])
+        elif t not in position:
+            stack.append((t, True))
+            stack.extend((c, False) for c in reversed(_operands(t)))
+    return tuple(nodes)
+
+
+def _rebuild(nodes: tuple) -> Term:
+    """The term that ``_flatten`` encoded as ``nodes``."""
+    built: list[Term] = []
+    for node in nodes:
+        if type(node) is str:
+            built.append(_LEAVES[node])
+        else:
+            cls, *operands = node
+            built.append(cls(*(built[i] for i in operands)))
+    return built[-1]
+
+
 _TEXT = {_ZERO: "0", _ONE: "1", **{atom: letter for letter, atom in _ATOMS.items()}}
 # The text between a binary node's operands, indexed by
 # ``2 * (left is parenthesised) + (right is parenthesised)``.
@@ -269,6 +298,7 @@ _JOINS = {
     cls: tuple(")" * lw + " %s " % cls.symbol + "(" * rw for lw in (0, 1) for rw in (0, 1))
     for cls in (Plus, Sync, Seq)
 }
+_LEAVES = {text: leaf for leaf, text in _TEXT.items()}
 
 
 def _print(term: Term) -> str:

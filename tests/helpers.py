@@ -4,8 +4,10 @@ The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
 a product, derivatives are recomputed one symbol at a time by enumerating
 product splits, linear systems are built over ``reachable_terms``, a
-syntactic over-approximation of the reachable states, the countermodel
-value of a term is recomputed by a plain recursive tree walk, a term is
+syntactic over-approximation of the reachable states, and solved by
+eliminating every state on the total matrix, with no states merged
+(``reference_solve``), bounded languages and the countermodel value of a
+term are recomputed by plain recursive tree walks, a term is
 printed by recursion over it as a tree and parsed by recursive descent,
 and the unary-set operators are recomputed by plain enumeration up to a
 horizon and by ``ReferenceUnaryLang``, which tests membership one natural
@@ -24,8 +26,10 @@ from hypothesis import strategies as st
 
 from synka import (
     Atom,
+    BoundedLang,
     H,
     LinearSystem,
+    NotGuardedError,
     One,
     Plus,
     Seq,
@@ -43,6 +47,11 @@ from synka import (
     cm_plus,
     cm_star,
     cm_sync,
+    lang_concat,
+    lang_h,
+    lang_star,
+    lang_sync,
+    lang_union,
     letters,
     nonempty_subsets,
     nullable,
@@ -182,6 +191,96 @@ def reference_build_system(term) -> LinearSystem:
         for target in states:
             matrix[(source, target)] = sums.get(target, Zero())
     return LinearSystem(states=states, matrix=matrix, vector=vector)
+
+
+def _reference_plus(a, b):
+    if isinstance(a, Zero):
+        return b
+    if isinstance(b, Zero):
+        return a
+    return Plus(a, b)
+
+
+def _reference_seq(a, b):
+    if isinstance(a, Zero) or isinstance(b, Zero):
+        return Zero()
+    if isinstance(a, One):
+        return b
+    if isinstance(b, One):
+        return a
+    return Seq(a, b)
+
+
+def _reference_star(a):
+    if isinstance(a, (Zero, One)):
+        return One()
+    return Star(a)
+
+
+def reference_solve(system: LinearSystem) -> dict:
+    """Solve a guarded system by eliminating every state, from the back of
+    the state order, on the total matrix; no states are merged. Unit laws
+    for ``0`` and ``1`` are applied while building terms."""
+    for (source, target), entry in system.matrix.items():
+        if nullable(entry):
+            raise NotGuardedError(
+                "matrix entry (%s, %s) = %s accepts the empty word" % (source, target, entry)
+            )
+    states = list(system.states)
+    matrix = dict(system.matrix)
+    vector = dict(system.vector)
+    eliminated = []
+    for index in range(len(states) - 1, -1, -1):
+        state = states[index]
+        rest = states[:index]
+        loop = matrix[(state, state)]
+        row = [(other, matrix[(state, other)]) for other in rest]
+        row = [(other, coefficient) for other, coefficient in row
+               if not isinstance(coefficient, Zero)]
+        eliminated.append((state, loop, row, vector[state]))
+        factor = _reference_star(loop)
+        for source in rest:
+            lead = _reference_seq(matrix[(source, state)], factor)
+            if isinstance(lead, Zero):
+                continue
+            for target, coefficient in row:
+                matrix[(source, target)] = _reference_plus(
+                    _reference_seq(lead, coefficient), matrix[(source, target)])
+            vector[source] = _reference_plus(vector[source], _reference_seq(lead, vector[state]))
+    assignment = {}
+    for state, loop, row, base in reversed(eliminated):
+        acc = base
+        for other, coefficient in row:
+            acc = _reference_plus(acc, _reference_seq(coefficient, assignment[other]))
+        assignment[state] = _reference_seq(_reference_star(loop), acc)
+    return assignment
+
+
+def reference_sem_bounded(term, bound: int) -> BoundedLang:
+    """All words of the language of ``term`` up to ``bound``, by recursion
+    over the term as a tree."""
+    if isinstance(term, Zero):
+        return BoundedLang(bound)
+    if isinstance(term, One):
+        return BoundedLang(bound, ((),))
+    if isinstance(term, Atom):
+        if bound < 1:
+            return BoundedLang(bound)
+        return BoundedLang(bound, ((SymSet(term.letter),),))
+    if isinstance(term, Plus):
+        return lang_union(reference_sem_bounded(term.left, bound),
+                          reference_sem_bounded(term.right, bound))
+    if isinstance(term, Seq):
+        return lang_concat(reference_sem_bounded(term.left, bound),
+                           reference_sem_bounded(term.right, bound))
+    if isinstance(term, Sync):
+        return lang_sync(reference_sem_bounded(term.left, bound),
+                         reference_sem_bounded(term.right, bound))
+    if isinstance(term, Star):
+        return lang_star(reference_sem_bounded(term.inner, bound))
+    if isinstance(term, H):
+        return lang_h(reference_sem_bounded(term.inner, bound))
+    raise TypeError("unknown term node %r" % (term,))
 
 
 def reference_eval_cm(term):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import term_strategy
+from helpers import reference_sem_bounded, term_strategy
 from synka import (
     Atom,
     BoundedLang,
     BoundMismatchError,
+    Seq,
     SymSet,
     Sync,
     format_word,
@@ -111,6 +112,19 @@ def test_sem_bounded_examples():
     assert [format_word(w) for w in sem_bounded(parse_term("a*"), 3)] == [
         "eps", "{a}", "{a}{a}", "{a}{a}{a}",
     ]
+
+
+@given(term_strategy("ab") | term_strategy("abc", max_leaves=6), st.integers(0, 3))
+def test_sem_bounded_matches_reference(term, bound):
+    assert sem_bounded(term, bound) == reference_sem_bounded(term, bound)
+
+
+def test_sem_bounded_of_a_deep_chain():
+    # Far past the recursion limit.
+    chain = Atom("a")
+    for i in range(1, 5000):
+        chain = Seq(chain, Atom("ab"[i % 2]))
+    assert sem_bounded(chain, 3) == BoundedLang(3)
 
 
 @given(term_strategy("ab"), st.integers(0, 3), st.integers(0, 3))

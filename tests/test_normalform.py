@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from helpers import reference_build_system, term_strategy
+from helpers import reference_build_system, reference_solve, term_strategy
 from synka import (
     Atom,
     LinearSystem,
@@ -24,6 +24,7 @@ from synka import (
     parse_word,
     print_term,
     sem_bounded,
+    size,
     solve,
     to_normal_form,
 )
@@ -62,7 +63,44 @@ def test_build_system_matches_reference(term):
     assert set(system.states) <= set(reference.states)
     positions = [reference.states.index(state) for state in system.states]
     assert positions == sorted(positions)
-    assert print_term(solve(system)[term]) == print_term(solve(reference)[term])
+    assert print_term(reference_solve(system)[term]) == print_term(reference_solve(reference)[term])
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_strategy("ab") | term_strategy("abc", max_leaves=6))
+def test_solve_matches_reference(term):
+    system = build_system(term)
+    normal = solve(system)[term]
+    assert classify(normal).nsf
+    assert equiv(normal, reference_solve(system)[term]).equivalent
+
+
+def test_bisimilar_states_share_one_solution():
+    term = parse_term("(a+b;a)* & (a+b;a)*")
+    system = build_system(term)
+    solution = solve(system)
+    assert len(system.states) == 7
+    assert len({id(value) for value in solution.values()}) == 5
+    after_a = parse_term("1;(a+b;a)* & 1;(a+b;a)*")
+    assert solution[after_a] is solution[term]
+    left = parse_term("1;(a+b;a)* & 1;a;(a+b;a)*")
+    right = parse_term("1;a;(a+b;a)* & 1;(a+b;a)*")
+    assert solution[left] is solution[right]
+
+
+def _power(k):
+    return parse_term(" & ".join(["(a+b;a)*"] * k))
+
+
+def test_product_normal_forms_stay_small():
+    # Without the quotient the four-fold form has 7,164,566 tree nodes and
+    # the five-fold one about 1e12.
+    assert size(to_normal_form(_power(4))) <= 2000
+    term = _power(5)
+    normal = to_normal_form(term)
+    assert size(normal) <= 13000
+    assert classify(normal).nsf
+    assert parse_term(print_term(normal)) is normal
 
 
 def test_build_system_sync_entry():

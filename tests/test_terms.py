@@ -25,6 +25,7 @@ from synka import (
     letters,
     nullable,
     parse_term,
+    sem_bounded,
     size,
     to_normal_form,
     transitions,
@@ -110,6 +111,7 @@ def test_unreferenced_term_is_freed():
     transitions(term)
     assert not equiv(term, parse_term("(p;q)*")).equivalent
     to_normal_form(term)
+    sem_bounded(term, 2)
     del term
     gc.collect()
     assert all(ref() is None for ref in refs)
@@ -130,13 +132,24 @@ def test_deep_copy_of_a_deep_term_is_the_node():
     assert copy.deepcopy(chain) is chain
 
 
+def _doubling(k):
+    """t(k + 1) = t(k) ; a + t(k), from t(0) = a."""
+    term = Atom("a")
+    for _ in range(k):
+        term = Plus(Seq(term, Atom("a")), term)
+    return term
+
+
+@pytest.mark.parametrize("term", [_chain(5000), _doubling(60)], ids=["chain", "doubling"])
+def test_pickle_of_a_deep_or_shared_term_is_the_node(term):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(term, protocol)) is term
+
+
 def test_size_counts_tree_nodes_without_recursion():
     assert size(parse_term("a")) == 1
     assert size(parse_term("(a ; b)* & H(a + 1)")) == 9
     assert size(_chain(5000)) == 9999
     # t(k+1) = t(k) ; a + t(k) has 2k + 1 distinct nodes, but 4 * 2^k - 3
     # nodes as a tree.
-    term = Atom("a")
-    for _ in range(60):
-        term = Plus(Seq(term, Atom("a")), term)
-    assert size(term) == 4 * 2**60 - 3
+    assert size(_doubling(60)) == 4 * 2**60 - 3
