@@ -172,75 +172,71 @@ class EquationSchema:
     ska: bool
     build: Callable
 
-    def instantiate(self, ops: Ops, variables, sl_variables):
-        return self.build(ops, variables, sl_variables)
-
-
-def _schema(name, arity, sl_arity, ska, build) -> EquationSchema:
-    return EquationSchema(name, arity, sl_arity, ska, build)
-
 
 EQUATIONS: tuple[EquationSchema, ...] = (
-    _schema("plus-assoc", 3, 0, True,
-            lambda o, v, s: (o.plus(v[0], o.plus(v[1], v[2])), o.plus(o.plus(v[0], v[1]), v[2]))),
-    _schema("plus-comm", 2, 0, True,
-            lambda o, v, s: (o.plus(v[0], v[1]), o.plus(v[1], v[0]))),
-    _schema("plus-zero", 1, 0, True,
-            lambda o, v, s: (o.plus(v[0], o.zero), v[0])),
-    _schema("plus-idem", 1, 0, True,
-            lambda o, v, s: (o.plus(v[0], v[0]), v[0])),
-    _schema("dot-one-right", 1, 0, True,
-            lambda o, v, s: (o.dot(v[0], o.one), v[0])),
-    _schema("dot-one-left", 1, 0, True,
-            lambda o, v, s: (o.dot(o.one, v[0]), v[0])),
-    _schema("dot-zero-right", 1, 0, True,
-            lambda o, v, s: (o.dot(v[0], o.zero), o.zero)),
-    _schema("dot-zero-left", 1, 0, True,
-            lambda o, v, s: (o.dot(o.zero, v[0]), o.zero)),
-    _schema("dot-assoc", 3, 0, True,
-            lambda o, v, s: (o.dot(v[0], o.dot(v[1], v[2])), o.dot(o.dot(v[0], v[1]), v[2]))),
-    _schema("star-unfold-left", 1, 0, True,
-            lambda o, v, s: (o.star(v[0]), o.plus(o.one, o.dot(v[0], o.star(v[0]))))),
-    _schema("star-unfold-right", 1, 0, True,
-            lambda o, v, s: (o.star(v[0]), o.plus(o.one, o.dot(o.star(v[0]), v[0])))),
-    _schema("dot-distr-left", 3, 0, True,
-            lambda o, v, s: (o.dot(v[0], o.plus(v[1], v[2])),
-                             o.plus(o.dot(v[0], v[1]), o.dot(v[0], v[2])))),
-    _schema("dot-distr-right", 3, 0, True,
-            lambda o, v, s: (o.dot(o.plus(v[0], v[1]), v[2]),
-                             o.plus(o.dot(v[0], v[2]), o.dot(v[1], v[2])))),
-    _schema("sync-distr", 3, 0, True,
-            lambda o, v, s: (o.sync(v[0], o.plus(v[1], v[2])),
-                             o.plus(o.sync(v[0], v[1]), o.sync(v[0], v[2])))),
-    _schema("sync-assoc", 3, 0, True,
-            lambda o, v, s: (o.sync(v[0], o.sync(v[1], v[2])), o.sync(o.sync(v[0], v[1]), v[2]))),
-    _schema("sync-comm", 2, 0, True,
-            lambda o, v, s: (o.sync(v[0], v[1]), o.sync(v[1], v[0]))),
-    _schema("sync-zero", 1, 0, True,
-            lambda o, v, s: (o.sync(v[0], o.zero), o.zero)),
-    _schema("sync-one", 1, 0, True,
-            lambda o, v, s: (o.sync(v[0], o.one), v[0])),
-    _schema("sl-idem", 0, 1, True,
-            lambda o, v, s: (o.sync(s[0], s[0]), s[0])),
-    _schema("synchrony", 2, 2, True,
-            lambda o, v, s: (o.sync(o.dot(s[0], v[0]), o.dot(s[1], v[1])),
-                             o.dot(o.sync(s[0], s[1]), o.sync(v[0], v[1])))),
-    _schema("loop-tightening", 1, 0, False,
-            lambda o, v, s: (o.star(o.plus(v[0], o.one)), o.star(v[0]))),
-    _schema("h-zero", 0, 0, False,
-            lambda o, v, s: (o.h(o.zero), o.zero)),
-    _schema("h-one", 0, 0, False,
-            lambda o, v, s: (o.h(o.one), o.one)),
-    _schema("h-plus", 2, 0, False,
-            lambda o, v, s: (o.h(o.plus(v[0], v[1])), o.plus(o.h(v[0]), o.h(v[1])))),
-    _schema("h-dot", 2, 0, False,
-            lambda o, v, s: (o.h(o.dot(v[0], v[1])), o.dot(o.h(v[0]), o.h(v[1])))),
-    _schema("h-star", 1, 0, False,
-            lambda o, v, s: (o.h(o.star(v[0])), o.star(o.h(v[0])))),
-    _schema("h-sync", 2, 0, False,
-            lambda o, v, s: (o.h(o.sync(v[0], v[1])), o.sync(o.h(v[0]), o.h(v[1])))),
-    _schema("h-atom", 0, 1, False,
-            lambda o, v, s: (o.h(s[0]), o.zero)),
+    EquationSchema("plus-assoc", 3, 0, True,
+                   lambda o, v, s: (o.plus(v[0], o.plus(v[1], v[2])),
+                                    o.plus(o.plus(v[0], v[1]), v[2]))),
+    EquationSchema("plus-comm", 2, 0, True,
+                   lambda o, v, s: (o.plus(v[0], v[1]), o.plus(v[1], v[0]))),
+    EquationSchema("plus-zero", 1, 0, True,
+                   lambda o, v, s: (o.plus(v[0], o.zero), v[0])),
+    EquationSchema("plus-idem", 1, 0, True,
+                   lambda o, v, s: (o.plus(v[0], v[0]), v[0])),
+    EquationSchema("dot-one-right", 1, 0, True,
+                   lambda o, v, s: (o.dot(v[0], o.one), v[0])),
+    EquationSchema("dot-one-left", 1, 0, True,
+                   lambda o, v, s: (o.dot(o.one, v[0]), v[0])),
+    EquationSchema("dot-zero-right", 1, 0, True,
+                   lambda o, v, s: (o.dot(v[0], o.zero), o.zero)),
+    EquationSchema("dot-zero-left", 1, 0, True,
+                   lambda o, v, s: (o.dot(o.zero, v[0]), o.zero)),
+    EquationSchema("dot-assoc", 3, 0, True,
+                   lambda o, v, s: (o.dot(v[0], o.dot(v[1], v[2])),
+                                    o.dot(o.dot(v[0], v[1]), v[2]))),
+    EquationSchema("star-unfold-left", 1, 0, True,
+                   lambda o, v, s: (o.star(v[0]), o.plus(o.one, o.dot(v[0], o.star(v[0]))))),
+    EquationSchema("star-unfold-right", 1, 0, True,
+                   lambda o, v, s: (o.star(v[0]), o.plus(o.one, o.dot(o.star(v[0]), v[0])))),
+    EquationSchema("dot-distr-left", 3, 0, True,
+                   lambda o, v, s: (o.dot(v[0], o.plus(v[1], v[2])),
+                                    o.plus(o.dot(v[0], v[1]), o.dot(v[0], v[2])))),
+    EquationSchema("dot-distr-right", 3, 0, True,
+                   lambda o, v, s: (o.dot(o.plus(v[0], v[1]), v[2]),
+                                    o.plus(o.dot(v[0], v[2]), o.dot(v[1], v[2])))),
+    EquationSchema("sync-distr", 3, 0, True,
+                   lambda o, v, s: (o.sync(v[0], o.plus(v[1], v[2])),
+                                    o.plus(o.sync(v[0], v[1]), o.sync(v[0], v[2])))),
+    EquationSchema("sync-assoc", 3, 0, True,
+                   lambda o, v, s: (o.sync(v[0], o.sync(v[1], v[2])),
+                                    o.sync(o.sync(v[0], v[1]), v[2]))),
+    EquationSchema("sync-comm", 2, 0, True,
+                   lambda o, v, s: (o.sync(v[0], v[1]), o.sync(v[1], v[0]))),
+    EquationSchema("sync-zero", 1, 0, True,
+                   lambda o, v, s: (o.sync(v[0], o.zero), o.zero)),
+    EquationSchema("sync-one", 1, 0, True,
+                   lambda o, v, s: (o.sync(v[0], o.one), v[0])),
+    EquationSchema("sl-idem", 0, 1, True,
+                   lambda o, v, s: (o.sync(s[0], s[0]), s[0])),
+    EquationSchema("synchrony", 2, 2, True,
+                   lambda o, v, s: (o.sync(o.dot(s[0], v[0]), o.dot(s[1], v[1])),
+                                    o.dot(o.sync(s[0], s[1]), o.sync(v[0], v[1])))),
+    EquationSchema("loop-tightening", 1, 0, False,
+                   lambda o, v, s: (o.star(o.plus(v[0], o.one)), o.star(v[0]))),
+    EquationSchema("h-zero", 0, 0, False,
+                   lambda o, v, s: (o.h(o.zero), o.zero)),
+    EquationSchema("h-one", 0, 0, False,
+                   lambda o, v, s: (o.h(o.one), o.one)),
+    EquationSchema("h-plus", 2, 0, False,
+                   lambda o, v, s: (o.h(o.plus(v[0], v[1])), o.plus(o.h(v[0]), o.h(v[1])))),
+    EquationSchema("h-dot", 2, 0, False,
+                   lambda o, v, s: (o.h(o.dot(v[0], v[1])), o.dot(o.h(v[0]), o.h(v[1])))),
+    EquationSchema("h-star", 1, 0, False,
+                   lambda o, v, s: (o.h(o.star(v[0])), o.star(o.h(v[0])))),
+    EquationSchema("h-sync", 2, 0, False,
+                   lambda o, v, s: (o.h(o.sync(v[0], v[1])), o.sync(o.h(v[0]), o.h(v[1])))),
+    EquationSchema("h-atom", 0, 1, False,
+                   lambda o, v, s: (o.h(s[0]), o.zero)),
 )
 
 SKA_EQUATIONS = tuple(s for s in EQUATIONS if s.ska)
@@ -248,6 +244,24 @@ SKA_EQUATIONS = tuple(s for s in EQUATIONS if s.ska)
 
 # ---------------------------------------------------------------------------
 # Suites
+
+
+def _implication(name: str, iters: int, draw: Callable[[int], dict],
+                 premise: Callable[..., bool], conclusion: Callable[..., bool]) -> CheckResult:
+    """Check ``premise => conclusion`` on ``iters`` instances; ``draw(i)``
+    gives instance ``i`` as named values, passed to both by name."""
+    held = failures = 0
+    details: list[str] = []
+    for i in range(iters):
+        values = draw(i)
+        if premise(**values):
+            held += 1
+            if not conclusion(**values):
+                failures += 1
+                if len(details) < 3:
+                    details.append(" ".join("%s=%s" % item for item in values.items()))
+    return CheckResult(name, iters, failures, note="hypothesis held %d/%d" % (held, iters),
+                       details=details)
 
 
 def check_axioms(
@@ -263,7 +277,7 @@ def check_axioms(
         for _ in range(iters):
             variables = [random_term(rng, alphabet, rng.randint(1, size)) for _ in range(schema.arity)]
             sl_variables = [random_sl_term(rng, alphabet, rng.randint(1, 3)) for _ in range(schema.sl_arity)]
-            lhs, rhs = schema.instantiate(TERM_OPS, variables, sl_variables)
+            lhs, rhs = schema.build(TERM_OPS, variables, sl_variables)
             if not equiv(lhs, rhs).equivalent:
                 failures += 1
                 if len(details) < 3:
@@ -273,68 +287,36 @@ def check_axioms(
     def leq(x: Term, y: Term) -> bool:
         return equiv(Plus(x, y), y).equivalent
 
+    def term() -> Term:
+        return random_term(rng, alphabet, rng.randint(1, size))
+
     # Least fixpoint rules: half the instances are constructed so the
     # hypothesis holds, the rest probe random triples.
-    held = failures = 0
-    details = []
-    for i in range(iters):
-        e = random_term(rng, alphabet, rng.randint(1, size))
-        f = random_term(rng, alphabet, rng.randint(1, size))
-        if i % 2 == 0:
-            g: Term = Seq(Star(f), e)
-        else:
-            g = random_term(rng, alphabet, rng.randint(1, size))
-        if leq(Plus(e, Seq(f, g)), g):
-            held += 1
-            if not leq(Seq(Star(f), e), g):
-                failures += 1
-                if len(details) < 3:
-                    details.append("e=%s f=%s g=%s" % (e, f, g))
-    results.append(CheckResult(
-        "implication lfp-left", iters, failures, note="hypothesis held %d/%d" % (held, iters),
-        details=details))
+    def draw_lfp_left(i: int) -> dict[str, Term]:
+        e, f = term(), term()
+        return {"e": e, "f": f, "g": Seq(Star(f), e) if i % 2 == 0 else term()}
 
-    held = failures = 0
-    details = []
-    for i in range(iters):
-        e = random_term(rng, alphabet, rng.randint(1, size))
-        g = random_term(rng, alphabet, rng.randint(1, size))
-        if i % 2 == 0:
-            f: Term = Seq(e, Star(g))
-        else:
-            f = random_term(rng, alphabet, rng.randint(1, size))
-        if leq(Plus(e, Seq(f, g)), f):
-            held += 1
-            if not leq(Seq(e, Star(g)), f):
-                failures += 1
-                if len(details) < 3:
-                    details.append("e=%s f=%s g=%s" % (e, f, g))
-    results.append(CheckResult(
-        "implication lfp-right", iters, failures, note="hypothesis held %d/%d" % (held, iters),
-        details=details))
+    def draw_lfp_right(i: int) -> dict[str, Term]:
+        e, g = term(), term()
+        return {"e": e, "f": Seq(e, Star(g)) if i % 2 == 0 else term(), "g": g}
 
-    held = failures = 0
-    details = []
-    for i in range(iters):
-        e = random_term(rng, alphabet, rng.randint(1, size))
-        f = guarded(random_term(rng, alphabet, rng.randint(1, size)), alphabet)
-        if i % 2 == 0:
-            g = Seq(Star(f), e)
-        else:
-            g = random_term(rng, alphabet, rng.randint(1, size))
-        hypothesis = (
-            equiv(H(f), Zero()).equivalent
-            and equiv(Plus(e, Seq(f, g)), g).equivalent
-        )
-        if hypothesis:
-            held += 1
-            if not equiv(Seq(Star(f), e), g).equivalent:
-                failures += 1
-                if len(details) < 3:
-                    details.append("e=%s f=%s g=%s" % (e, f, g))
-    results.append(CheckResult(
-        "implication unique-fixpoint", iters, failures,
-        note="hypothesis held %d/%d" % (held, iters), details=details))
+    def draw_unique(i: int) -> dict[str, Term]:
+        e, f = term(), guarded(term(), alphabet)
+        return {"e": e, "f": f, "g": Seq(Star(f), e) if i % 2 == 0 else term()}
+
+    results.append(_implication(
+        "implication lfp-left", iters, draw_lfp_left,
+        lambda e, f, g: leq(Plus(e, Seq(f, g)), g),
+        lambda e, f, g: leq(Seq(Star(f), e), g)))
+    results.append(_implication(
+        "implication lfp-right", iters, draw_lfp_right,
+        lambda e, f, g: leq(Plus(e, Seq(f, g)), f),
+        lambda e, f, g: leq(Seq(e, Star(g)), f)))
+    results.append(_implication(
+        "implication unique-fixpoint", iters, draw_unique,
+        lambda e, f, g: equiv(H(f), Zero()).equivalent
+        and equiv(Plus(e, Seq(f, g)), g).equivalent,
+        lambda e, f, g: equiv(Seq(Star(f), e), g).equivalent))
     return results
 
 
@@ -414,8 +396,8 @@ def check_normalform(
         for state in system.states:
             acc: Term = system.vector[state]
             for target in system.states:
-                entry = system.matrix[(state, target)]
-                if not isinstance(entry, Zero):
+                entry = system.matrix.get((state, target))
+                if entry is not None:
                     acc = Plus(acc, Seq(entry, target))
             if not equiv(acc, state).equivalent:
                 solution_failures += 1
@@ -470,7 +452,7 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
         for _ in range(iters):
             variables = [rng.choice(pool) for _ in range(schema.arity)]
             sl_variables = [generator] * schema.sl_arity
-            lhs, rhs = schema.instantiate(MODEL_OPS, variables, sl_variables)
+            lhs, rhs = schema.build(MODEL_OPS, variables, sl_variables)
             if lhs != rhs:
                 failures += 1
                 if len(details) < 3:
@@ -478,37 +460,22 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
         results.append(CheckResult("model axiom %s" % schema.name, iters, failures,
                                    details=details))
 
-    held = failures = 0
-    details = []
-    for i in range(iters):
-        k = rng.choice(pool)
-        l = rng.choice(pool)
-        j = cm_dot(cm_star(l), k) if i % 2 == 0 else rng.choice(pool)
-        if model_leq(cm_plus(k, cm_dot(l, j)), j):
-            held += 1
-            if not model_leq(cm_dot(cm_star(l), k), j):
-                failures += 1
-                if len(details) < 3:
-                    details.append("k=%s l=%s j=%s" % (k, l, j))
-    results.append(CheckResult(
-        "model implication lfp-left", iters, failures,
-        note="hypothesis held %d/%d" % (held, iters), details=details))
+    def draw_lfp_left(i: int) -> dict[str, ModelElement]:
+        k, l = rng.choice(pool), rng.choice(pool)
+        return {"k": k, "l": l, "j": cm_dot(cm_star(l), k) if i % 2 == 0 else rng.choice(pool)}
 
-    held = failures = 0
-    details = []
-    for i in range(iters):
-        k = rng.choice(pool)
-        j = rng.choice(pool)
-        l = cm_dot(k, cm_star(j)) if i % 2 == 0 else rng.choice(pool)
-        if model_leq(cm_plus(k, cm_dot(l, j)), l):
-            held += 1
-            if not model_leq(cm_dot(k, cm_star(j)), l):
-                failures += 1
-                if len(details) < 3:
-                    details.append("k=%s l=%s j=%s" % (k, l, j))
-    results.append(CheckResult(
-        "model implication lfp-right", iters, failures,
-        note="hypothesis held %d/%d" % (held, iters), details=details))
+    def draw_lfp_right(i: int) -> dict[str, ModelElement]:
+        k, j = rng.choice(pool), rng.choice(pool)
+        return {"k": k, "l": cm_dot(k, cm_star(j)) if i % 2 == 0 else rng.choice(pool), "j": j}
+
+    results.append(_implication(
+        "model implication lfp-left", iters, draw_lfp_left,
+        lambda k, l, j: model_leq(cm_plus(k, cm_dot(l, j)), j),
+        lambda k, l, j: model_leq(cm_dot(cm_star(l), k), j)))
+    results.append(_implication(
+        "model implication lfp-right", iters, draw_lfp_right,
+        lambda k, l, j: model_leq(cm_plus(k, cm_dot(l, j)), l),
+        lambda k, l, j: model_leq(cm_dot(k, cm_star(j)), l)))
 
     finite = [x for x in pool if isinstance(x, UnaryLang) and not x.is_infinite and not x.is_empty]
     infinite = [x for x in pool if isinstance(x, UnaryLang) and x.is_infinite]

@@ -18,9 +18,9 @@ period and two ints of bits (the eventually periodic form of Chrobak,
 "Finite automata and unary languages", 1986), and each operator works on
 the bits with shifts, ORs and ANDs, never one natural at a time.
 
-``eval_cm`` interprets a term with an explicit stack, not Python
-recursion, and memoizes within one call, so each distinct subterm of a
-term that shares subterms (as solved normal forms do) is evaluated once.
+``eval_cm`` interprets a term bottom-up over ``terms.postorder``, not
+Python recursion, and memoizes within one call, so each distinct subterm of
+a term that shares subterms (as solved normal forms do) is evaluated once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from collections.abc import Iterable
 from typing import Callable, Union
 
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
+from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, _operands, postorder
 
 
 class Dagger:
@@ -342,6 +342,9 @@ def cm_star(k: ModelElement) -> ModelElement:
     return k.star_closure()
 
 
+_CM_OPS = {Plus: cm_plus, Seq: cm_dot, Sync: cm_sync}
+
+
 def model_leq(k: ModelElement, l: ModelElement) -> bool:
     """The natural order: ``k <= l`` when ``k + l = l``."""
     return cm_plus(k, l) == l
@@ -367,7 +370,8 @@ def eval_cm(
     so equal subterms are one node with one memo entry. The walk uses no
     Python recursion, so the recursion limit does not bound the term's
     depth. A term containing H raises ``HTermError`` naming its
-    leftmost-outermost H, before anything beneath that H is evaluated.
+    leftmost-outermost H, found by descending into the first operand that
+    is not H-free, before anything is evaluated.
     """
     generator = UnaryLang.generator()
     if valuation is not None:
@@ -377,38 +381,23 @@ def eval_cm(
                     "letter %r must be interpreted as the generator, got %s" % (letter, value)
                 )
 
-    # Post-order over an explicit stack. An operator node goes back on the
-    # stack beneath its operands together with the model operation that
-    # combines their values, and is combined once they are in the memo.
-    # Operands go on left-last, so the walk first reaches nodes in the
-    # order a recursive left-to-right walk would, and the first H it
-    # reaches is the leftmost-outermost one.
+    node = term
+    while not node._h_free:
+        if isinstance(node, H):
+            raise HTermError("the model does not interpret H: %s" % node)
+        node = next(c for c in _operands(node) if not c._h_free)
+
     memo: dict[Term, ModelElement] = {}
-    stack: list[tuple[Term, Callable[..., ModelElement] | None]] = [(term, None)]
-    while stack:
-        t, combine = stack.pop()
-        if combine is cm_star:
-            memo[t] = cm_star(memo[t.inner])
-        elif combine is not None:
-            memo[t] = combine(memo[t.left], memo[t.right])
-        elif t in memo:
-            continue
-        elif isinstance(t, Zero):
+    for t in postorder(term):
+        cls = type(t)
+        if cls is Zero:
             memo[t] = _EMPTY
-        elif isinstance(t, One):
+        elif cls is One:
             memo[t] = UnaryLang.epsilon()
-        elif isinstance(t, Atom):
+        elif cls is Atom:
             memo[t] = generator
-        elif isinstance(t, H):
-            raise HTermError("the model does not interpret H: %s" % t)
-        elif isinstance(t, Star):
-            stack.append((t, cm_star))
-            stack.append((t.inner, None))
-        elif isinstance(t, (Plus, Seq, Sync)):
-            op = cm_plus if isinstance(t, Plus) else cm_dot if isinstance(t, Seq) else cm_sync
-            stack.append((t, op))
-            stack.append((t.right, None))
-            stack.append((t.left, None))
+        elif cls is Star:
+            memo[t] = cm_star(memo[t.inner])
         else:
-            raise TypeError("unknown term node %r" % (t,))
+            memo[t] = _CM_OPS[cls](memo[t.left], memo[t.right])
     return memo[term]

@@ -7,14 +7,17 @@ the bound, which is harmless for checking membership of words within the
 bound: sequencing never shortens a word, and the synchronous product of
 two words is as long as the longer operand, so no word within the bound
 ever needs an operand word beyond it.
+
+``sem_bounded`` evaluates a term bottom-up over ``terms.postorder``, once
+per distinct subterm.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from .semilattice import SymSet, canonical_atom, parse_symset
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
+from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, postorder
 
 SyncWord = tuple[SymSet, ...]
 
@@ -160,34 +163,23 @@ _LANG_OPS = {Plus: lang_union, Seq: lang_concat, Sync: lang_sync, Star: lang_sta
 def sem_bounded(term: Term, bound: int) -> BoundedLang:
     """All words of the language of ``term`` of length at most ``bound``.
 
-    Each distinct subterm is computed once per call, in post-order over an
-    explicit stack, so the recursion limit does not bound the term's depth.
-    Nothing is kept between calls.
+    Each distinct subterm is computed once per call, in ``postorder``, so
+    the recursion limit does not bound the term's depth. Nothing is kept
+    between calls.
     """
-    memo: dict[Term, BoundedLang] = {Zero(): BoundedLang(bound), One(): BoundedLang(bound, ((),))}
-    # An operator node goes back on the stack beneath its operands together
-    # with the language operation that combines their values.
-    stack: list[tuple[Term, Callable[..., BoundedLang] | None]] = [(term, None)]
-    while stack:
-        t, combine = stack.pop()
-        if combine is not None:
-            if isinstance(t, (Star, H)):
-                memo[t] = combine(memo[t.inner])
-            else:
-                memo[t] = combine(memo[t.left], memo[t.right])
-        elif t in memo:
-            continue
-        elif isinstance(t, Atom):
+    memo: dict[Term, BoundedLang] = {}
+    for t in postorder(term):
+        cls = type(t)
+        if cls is Zero:
+            memo[t] = BoundedLang(bound)
+        elif cls is One:
+            memo[t] = BoundedLang(bound, ((),))
+        elif cls is Atom:
             memo[t] = BoundedLang(bound, ((SymSet(t.letter),),) if bound >= 1 else ())
-        elif type(t) in _LANG_OPS:
-            stack.append((t, _LANG_OPS[type(t)]))
-            if isinstance(t, (Star, H)):
-                stack.append((t.inner, None))
-            else:
-                stack.append((t.right, None))
-                stack.append((t.left, None))
+        elif cls is Star or cls is H:
+            memo[t] = _LANG_OPS[cls](memo[t.inner])
         else:
-            raise TypeError("unknown term node %r" % (t,))
+            memo[t] = _LANG_OPS[cls](memo[t.left], memo[t.right])
     return memo[term]
 
 

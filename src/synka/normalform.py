@@ -36,9 +36,10 @@ class NotGuardedError(ValueError):
 class LinearSystem:
     """A square system over an ordered list of term-labelled states.
 
-    ``matrix`` and ``vector`` are total over ``states``; a vector ``y``
-    solves the system when ``matrix . y + vector`` is language-equal to
-    ``y`` at every state.
+    ``vector`` is total over ``states``; ``matrix`` holds only the nonzero
+    entries, and a missing ``(source, target)`` pair stands for ``0``. A
+    vector ``y`` solves the system when ``matrix . y + vector`` is
+    language-equal to ``y`` at every state.
     """
 
     states: tuple[Term, ...]
@@ -51,10 +52,12 @@ def build_system(term: Term) -> LinearSystem:
 
     The initial term comes first in the state order; the remaining states
     are sorted by their printed form. Matrix entries sum canonical atoms in
-    symbol order, so equal inputs build identical systems.
+    symbol order and are stored row by row in state order, so equal inputs
+    build identical systems.
     """
     reach = reachable_states(term)
     states = (term, *sorted((q for q in reach if q != term), key=str))
+    order = {state: i for i, state in enumerate(states)}
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
     for source in states:
@@ -66,8 +69,8 @@ def build_system(term: Term) -> LinearSystem:
             for target in table[symbol]:
                 seen = sums.get(target)
                 sums[target] = atom if seen is None else Plus(seen, atom)
-        for target in states:
-            matrix[(source, target)] = sums.get(target, Zero())
+        for target in sorted(sums, key=order.__getitem__):
+            matrix[(source, target)] = sums[target]
     return LinearSystem(states=states, matrix=matrix, vector=vector)
 
 
@@ -153,8 +156,6 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
     index = {state: i for i, state in enumerate(states)}
     entries: list[list[tuple[int, Term]]] = [[] for _ in states]
     for (source, target), entry in system.matrix.items():
-        if isinstance(entry, Zero):
-            continue
         if nullable(entry):
             raise NotGuardedError(
                 "matrix entry (%s, %s) = %s accepts the empty word" % (source, target, entry)
@@ -226,8 +227,8 @@ def format_system(system: LinearSystem) -> str:
     for source in system.states:
         cells = ["state %s" % source, "out %s" % system.vector[source]]
         for target in system.states:
-            entry = system.matrix[(source, target)]
-            if not isinstance(entry, Zero):
+            entry = system.matrix.get((source, target))
+            if entry is not None:
                 cells.append("[%s] %s" % (target, entry))
         lines.append(" | ".join(cells))
     return "\n".join(lines)

@@ -16,6 +16,9 @@ term per line.
 operand stack and an operator stack, so nesting depth is bounded by
 memory, not by the recursion limit. It reads the operators' symbols and
 binding strengths from the term classes, as the printer does.
+
+``classify`` decides membership in the normal-form grammar bottom-up over
+``terms.postorder``, so it is not bounded by the recursion limit either.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import semilattice
-from .terms import LETTERS, Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, h_free
+from .terms import LETTERS, Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, h_free, postorder
 
 
 class TermSyntaxError(ValueError):
@@ -160,25 +163,26 @@ class Fragments:
 
 
 def _is_nsf(term: Term) -> bool:
-    """Normal-form grammar membership, kept on the node once computed."""
-    nsf = term._nsf
-    if nsf is not None:
-        return nsf
-    if isinstance(term, (Zero, One)):
-        nsf = True
-    elif semilattice.is_sl_term(term):
-        # Atoms must be fixed points of semilattice normalization.
-        nsf = term is semilattice.normalize_sl(term)
-    elif isinstance(term, Plus) or isinstance(term, Seq):
-        nsf = _is_nsf(term.left) and _is_nsf(term.right)
-    elif isinstance(term, Star):
-        nsf = _is_nsf(term.inner)
-    else:
-        # A Sync over non-semilattice operands, or any H, is outside the
-        # normal-form grammar.
-        nsf = False
-    term._nsf = nsf
-    return nsf
+    """Normal-form grammar membership, kept on each node once computed."""
+    if term._nsf is None:
+        for t in postorder(term):
+            if t._nsf is not None:
+                continue
+            if isinstance(t, (Zero, One)):
+                nsf = True
+            elif semilattice.is_sl_term(t):
+                # Atoms must be fixed points of semilattice normalization.
+                nsf = t is semilattice.normalize_sl(t)
+            elif isinstance(t, (Plus, Seq)):
+                nsf = t.left._nsf and t.right._nsf
+            elif isinstance(t, Star):
+                nsf = t.inner._nsf
+            else:
+                # A Sync over non-semilattice operands, or any H, is outside
+                # the normal-form grammar.
+                nsf = False
+            t._nsf = nsf
+    return term._nsf
 
 
 def classify(term: Term) -> Fragments:

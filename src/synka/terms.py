@@ -18,9 +18,12 @@ and copying go back through the constructors, so they give the same node;
 a pickle holds a flat post-order tuple of the distinct nodes, so neither
 depth nor sharing makes it recurse or grow. A deep copy is the node itself.
 
-``str`` prints a term with minimal parentheses, and ``size`` counts its
-nodes as a tree. Both walk an explicit stack and visit each distinct node
-once, so neither is bounded by the recursion limit or slowed by sharing.
+``postorder`` walks a term's distinct nodes, operands first, over an
+explicit stack; ``size``, the pickle encoding and the bottom-up passes in
+``language``, ``countermodel`` and ``syntax`` all run on it, so none is
+bounded by the recursion limit or slowed by sharing. ``str`` prints a term
+with minimal parentheses over a stack of its own, as it emits text between
+operands.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import string
 import threading
 import weakref
+from collections.abc import Iterator
 
 LETTERS = frozenset(string.ascii_lowercase)
 
@@ -244,19 +248,27 @@ def _operands(term: Term) -> tuple[Term, ...]:
     return ()
 
 
-def size(term: Term) -> int:
-    """Number of constructor nodes in ``term`` as a tree, counting a shared
-    subterm once per occurrence. Each distinct node is counted once, with
-    an explicit stack."""
-    counts: dict[Term, int] = {}
+def postorder(term: Term) -> Iterator[Term]:
+    """Each distinct node of ``term`` once, operands before the node and
+    the left operand first, over an explicit stack."""
+    seen: set[Term] = set()
     stack = [(term, False)]
     while stack:
         t, ready = stack.pop()
         if ready:
-            counts[t] = 1 + sum(counts[c] for c in _operands(t))
-        elif t not in counts:
+            yield t
+        elif t not in seen:
+            seen.add(t)
             stack.append((t, True))
-            stack.extend((c, False) for c in _operands(t))
+            stack.extend((c, False) for c in reversed(_operands(t)))
+
+
+def size(term: Term) -> int:
+    """Number of constructor nodes in ``term`` as a tree, counting a shared
+    subterm once per occurrence."""
+    counts: dict[Term, int] = {}
+    for t in postorder(term):
+        counts[t] = 1 + sum(counts[c] for c in _operands(t))
     return counts[term]
 
 
@@ -266,16 +278,10 @@ def _flatten(term: Term) -> tuple:
     followed by the positions of its operands in the tuple."""
     position: dict[Term, int] = {}
     nodes: list = []
-    stack = [(term, False)]
-    while stack:
-        t, ready = stack.pop()
-        if ready:
-            position[t] = len(nodes)
-            operands = _operands(t)
-            nodes.append((type(t), *(position[c] for c in operands)) if operands else _TEXT[t])
-        elif t not in position:
-            stack.append((t, True))
-            stack.extend((c, False) for c in reversed(_operands(t)))
+    for t in postorder(term):
+        position[t] = len(nodes)
+        operands = _operands(t)
+        nodes.append((type(t), *(position[c] for c in operands)) if operands else _TEXT[t])
     return tuple(nodes)
 
 

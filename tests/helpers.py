@@ -6,12 +6,12 @@ a product, derivatives are recomputed one symbol at a time by enumerating
 product splits, linear systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
-(``reference_solve``), bounded languages and the countermodel value of a
-term are recomputed by plain recursive tree walks, a term is
-printed by recursion over it as a tree and parsed by recursive descent,
-and the unary-set operators are recomputed by plain enumeration up to a
-horizon and by ``ReferenceUnaryLang``, which tests membership one natural
-at a time.
+(``reference_solve``), a term's distinct nodes in post-order, bounded
+languages and the countermodel value of a term are recomputed by plain
+recursive tree walks, a term is printed by recursion over it as a tree
+and parsed by recursive descent, and the unary-set operators are
+recomputed by plain enumeration up to a horizon and by
+``ReferenceUnaryLang``, which tests membership one natural at a time.
 """
 
 from __future__ import annotations
@@ -219,15 +219,17 @@ def _reference_star(a):
 
 def reference_solve(system: LinearSystem) -> dict:
     """Solve a guarded system by eliminating every state, from the back of
-    the state order, on the total matrix; no states are merged. Unit laws
-    for ``0`` and ``1`` are applied while building terms."""
+    the state order, on the total matrix (a missing entry is ``0``); no
+    states are merged. Unit laws for ``0`` and ``1`` are applied while
+    building terms."""
     for (source, target), entry in system.matrix.items():
         if nullable(entry):
             raise NotGuardedError(
                 "matrix entry (%s, %s) = %s accepts the empty word" % (source, target, entry)
             )
     states = list(system.states)
-    matrix = dict(system.matrix)
+    matrix = {(source, target): system.matrix.get((source, target), Zero())
+              for source in states for target in states}
     vector = dict(system.vector)
     eliminated = []
     for index in range(len(states) - 1, -1, -1):
@@ -254,6 +256,27 @@ def reference_solve(system: LinearSystem) -> dict:
             acc = _reference_plus(acc, _reference_seq(coefficient, assignment[other]))
         assignment[state] = _reference_seq(_reference_star(loop), acc)
     return assignment
+
+
+def reference_postorder(term) -> list:
+    """The distinct nodes of ``term``, each listed after its operands at
+    its first occurrence, by a recursive left-to-right walk."""
+    out: list = []
+    seen: set = set()
+
+    def visit(node):
+        if node in seen:
+            return
+        seen.add(node)
+        if isinstance(node, (Plus, Seq, Sync)):
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, (Star, H)):
+            visit(node.inner)
+        out.append(node)
+
+    visit(term)
+    return out
 
 
 def reference_sem_bounded(term, bound: int) -> BoundedLang:

@@ -16,6 +16,7 @@ from helpers import (
 from synka import (
     DAGGER,
     Atom,
+    H,
     HTermError,
     Plus,
     Seq,
@@ -193,6 +194,17 @@ def test_eval_deep_seq_chain():
     first, second = chain(), chain()
     assert eval_cm(first) == UnaryLang.from_members((5001,))
     assert eval_cm(Seq(first, second)) == UnaryLang.from_members((10002,))
+
+
+def test_eval_rejects_h_under_deep_chain():
+    chain = Atom("a")
+    for _ in range(5000):
+        chain = Seq(chain, Atom("a"))
+    buried = Seq(Seq(Atom("a"), H(Atom("b"))), chain)
+    for _ in range(5000):
+        buried = Seq(buried, Atom("a"))
+    with pytest.raises(HTermError, match=r"H: H\(b\)$"):
+        eval_cm(Plus(chain, buried))
 
 
 def test_eval_shared_dag_once_per_node():

@@ -171,5 +171,5 @@ def test_axioms_hold_in_bounded_semantics():
         for _ in range(25):
             variables = [random_term(rng, "ab", rng.randint(1, 6)) for _ in range(schema.arity)]
             sls = [random_sl_term(rng, "ab", rng.randint(1, 3)) for _ in range(schema.sl_arity)]
-            lhs, rhs = schema.instantiate(TERM_OPS, variables, sls)
+            lhs, rhs = schema.build(TERM_OPS, variables, sls)
             assert sem_bounded(lhs, bound) == sem_bounded(rhs, bound), schema.name

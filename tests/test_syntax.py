@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from helpers import reference_parse, reference_print, term_strategy
 from synka import (
     Atom,
+    Fragments,
     H,
     One,
     Plus,
@@ -158,6 +159,15 @@ def test_classify_examples():
     assert not classify(parse_term("a & a")).nsf
     # Products over non-semilattice operands are outside the fragment.
     assert not classify(parse_term("(a ; b) & c")).nsf
+
+
+def test_classify_deep_chain():
+    # Five times the default recursion limit deep.
+    chain = Atom("a")
+    for i in range(1, 5000):
+        chain = Seq(chain, Atom("ab"[i % 2]))
+    assert classify(chain) == classify(Star(chain)) == Fragments(sl=False, ska=True, nsf=True)
+    assert classify(H(chain)) == Fragments(sl=False, ska=False, nsf=False)
 
 
 @given(term_strategy("ab"))

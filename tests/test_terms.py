@@ -9,7 +9,10 @@ import threading
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import reference_postorder, term_strategy
 from synka import (
     Atom,
     H,
@@ -31,6 +34,7 @@ from synka import (
     transitions,
 )
 from synka.checks import random_term
+from synka.terms import postorder
 
 
 def _chain(length):
@@ -153,3 +157,19 @@ def test_size_counts_tree_nodes_without_recursion():
     # t(k+1) = t(k) ; a + t(k) has 2k + 1 distinct nodes, but 4 * 2^k - 3
     # nodes as a tree.
     assert size(_doubling(60)) == 4 * 2**60 - 3
+
+
+def _sharing(x, y):
+    return Sync(Seq(Plus(x, y), Star(y)), Plus(H(x), Seq(y, x)))
+
+
+@given(term_strategy("ab") | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")))
+def test_postorder_matches_recursive_walk(term):
+    nodes = list(postorder(term))
+    assert nodes == reference_postorder(term)
+    assert len(set(nodes)) == len(nodes)
+
+
+def test_postorder_of_deep_and_shared_terms():
+    assert len(list(postorder(_chain(5000)))) == 5001
+    assert len(list(postorder(_doubling(60)))) == 2 * 60 + 1
