@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .language import SyncWord
 from .semilattice import SymSet, canonical_atom
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
+from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, right_associated
 
 
 def nullable(term: Term) -> bool:
@@ -103,8 +103,10 @@ def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
 
 def member(word: SyncWord, term: Term) -> bool:
     """Word membership by iterated derivatives; no automaton is built. A
-    symbol no current state can read rejects immediately."""
-    current: frozenset[Term] | None = frozenset((term,))
+    symbol no current state can read rejects immediately. The steps start
+    from ``right_associated(term)``, whose states each need O(1) new nodes,
+    so a word and a ``;``-chain of any length are answered."""
+    current: frozenset[Term] | None = frozenset((right_associated(term),))
     for symbol in word:
         current = step(current).get(symbol)
         if not current:

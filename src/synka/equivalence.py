@@ -12,6 +12,24 @@ sorted order. Any other symbol leads both sides to the empty set, a pair
 that is trivially language-equal, so no shortest distinguishing word can
 use one and skipping it changes neither the search order nor the count of
 examined pairs.
+
+The search starts from ``right_associated`` copies of both terms. The
+parser nests ``;`` to the left, and every derivative of a left-nested
+chain of n letters is a fresh chain of about n nodes whose table is built
+through all n levels; a right-nested chain derives states that need O(1)
+new nodes each, and its tables are built without recursing down the
+chain. A term with no left-nested ``;`` is its own copy, so tables that
+were built on it before are reused.
+
+The witness does not depend on how the states are represented: it is the
+shortlex-least word (shortest, then least symbol by symbol) accepted by
+exactly one side. The queue holds words in shortlex order. The pair
+reached by a word u is skipped only when it lies in the equivalence
+closure of pairs processed at words v before u; if its sides differed on
+a suffix z, the sides of one such pair would differ on z too, and vz
+would be a distinguishing word before uz. So no prefix of the least
+distinguishing word is skipped, and no conflict comes before it. Only
+the count of examined pairs depends on the representation.
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ from dataclasses import dataclass
 
 from .derivatives import nullable, step
 from .language import SyncWord
-from .terms import Term
+from .terms import Term, right_associated
 
 DEFAULT_PAIR_CAP = 1_000_000
 
@@ -85,7 +103,7 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
             return value
 
     empty: frozenset[Term] = frozenset()
-    start = (frozenset((e,)), frozenset((f,)))
+    start = (frozenset((right_associated(e),)), frozenset((right_associated(f),)))
     queue: deque[tuple[frozenset[Term], frozenset[Term], SyncWord]] = deque([(*start, ())])
     examined = 0
     while queue:

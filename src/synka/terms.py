@@ -8,22 +8,28 @@ is applied at construction, so ``a + b`` and ``b + a`` are different trees.
 Nodes are immutable and hash-consed (Filliâtre and Conchon, "Type-safe
 modular hash-consing", 2006): a constructor returns the live node with the
 same class and operands, so equal terms are one object and compare and
-hash by identity, at any depth. A weak-value table holds the compound
-nodes, so a node nobody references is freed with all that is recorded on
-it: its letters and whether it is nullable, ``H``-free or a semilattice
-term, set at construction from its operands' facts, and its transition
-table and normal-form membership, filled on first use by ``derivatives``
-and ``syntax``. ``0``, ``1`` and the atoms are fixed instances. Pickling
-and copying go back through the constructors, so they give the same node;
-a pickle holds a flat post-order tuple of the distinct nodes, so neither
-depth nor sharing makes it recurse or grow. A deep copy is the node itself.
+hash by identity, at any depth. The intern table is a plain dict from a
+node's class and operand ids to a weak reference to the node, so a lookup
+is one dict access and one call. The reference's callback removes the key
+when the node dies, unless a new node holds the key by then. A node nobody
+references is thus freed with all that is recorded on it: its letters and
+whether it is nullable, ``H``-free, a semilattice term or holds a ``;``
+whose left operand is a ``;``, set at construction from its operands'
+facts, and its transition table and normal-form membership, filled on
+first use by ``derivatives`` and ``syntax``. ``0``, ``1`` and the atoms
+are fixed instances. Pickling and copying go back through the
+constructors, so they give the same node; a pickle holds a flat
+post-order tuple of the distinct nodes, so neither depth nor sharing
+makes it recurse or grow. A deep copy is the node itself.
 
 ``postorder`` walks a term's distinct nodes, operands first, over an
 explicit stack; ``size``, the pickle encoding and the bottom-up passes in
 ``language``, ``countermodel`` and ``syntax`` all run on it, so none is
-bounded by the recursion limit or slowed by sharing. ``str`` prints a term
-with minimal parentheses over a stack of its own, as it emits text between
-operands.
+bounded by the recursion limit or slowed by sharing. ``right_associated``
+nests every ``;``-chain to the right, for the derivative searches in
+``equivalence`` and ``derivatives.member``, and ``str`` prints a term
+with minimal parentheses; each walks a stack of its own, as it needs more
+than the operands-first order.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import string
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from collections.abc import Iterator
 
 LETTERS = frozenset(string.ascii_lowercase)
@@ -43,24 +50,31 @@ _PREC_SEQ = 3
 _PREC_STAR = 4
 _PREC_LEAF = 9
 
-# Live compound nodes by class and operand ids. An operand in a key would keep
-# a star alive, as its transitions reach ``t ; star``; a live node keeps its
-# operands, so their ids are not reused. A miss takes the lock and looks
-# again, so that two threads building the same term get one node.
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Live compound nodes: a plain dict from class and operand ids to a weak
+# reference. An operand in a key would keep a star alive, as its transitions
+# reach ``t ; star``; a live node keeps its operands, so their ids are not
+# reused. A node's reference removes its key when the node dies, unless a new
+# node has taken the key since; it takes no lock, as a node can die while
+# this thread holds it. A miss takes the lock and looks again, so that two
+# threads building the same term get one node.
+_NODES: dict[tuple, weakref.ref] = {}
 _NODES_LOCK = threading.Lock()
 
 
 def _intern(cls, *operands) -> Term:
     key = (cls, *map(id, operands))
-    node = _NODES.get(key)
+    ref = _NODES.get(key)
+    node = None if ref is None else ref()
     if node is None:
         with _NODES_LOCK:
-            node = _NODES.get(key)
+            ref = _NODES.get(key)
+            node = None if ref is None else ref()
             if node is None:
                 node = object.__new__(cls)
                 node._build(*operands)
-                _NODES[key] = node
+                _NODES[key] = weakref.ref(
+                    node, lambda _, key=key: _remove_dead_weakref(_NODES, key)
+                )
     return node
 
 
@@ -72,14 +86,17 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 class Term:
     """Base class of all term nodes."""
 
-    __slots__ = ("_nullable", "_h_free", "_sl", "_letters", "_transitions", "_nsf", "__weakref__")
+    __slots__ = ("_nullable", "_h_free", "_sl", "_left_seq", "_letters", "_transitions", "_nsf",
+                 "__weakref__")
 
     precedence = _PREC_LEAF
 
-    def _set_facts(self, nullable: bool, h_free: bool, sl: bool, letters: frozenset[str]) -> None:
+    def _set_facts(self, nullable: bool, h_free: bool, sl: bool, left_seq: bool,
+                   letters: frozenset[str]) -> None:
         self._nullable = nullable
         self._h_free = h_free
         self._sl = sl
+        self._left_seq = left_seq
         self._letters = letters
         self._transitions = None
         self._nsf = None
@@ -144,7 +161,8 @@ class _Binary(Term):
         self.left = left
         self.right = right
         self._set_facts(left._nullable and right._nullable, left._h_free and right._h_free,
-                        False, _union(left._letters, right._letters))
+                        False, left._left_seq or right._left_seq,
+                        _union(left._letters, right._letters))
 
 
 class Plus(_Binary):
@@ -178,6 +196,10 @@ class Seq(_Binary):
     symbol = ";"
     precedence = _PREC_SEQ
 
+    def _build(self, left: Term, right: Term) -> None:
+        super()._build(left, right)
+        self._left_seq = self._left_seq or type(left) is Seq
+
 
 class _Unary(Term):
     __slots__ = ("inner",)
@@ -199,7 +221,7 @@ class Star(_Unary):
 
     def _build(self, inner: Term) -> None:
         super()._build(inner)
-        self._set_facts(True, inner._h_free, False, inner._letters)
+        self._set_facts(True, inner._h_free, False, inner._left_seq, inner._letters)
 
 
 class H(_Unary):
@@ -209,19 +231,19 @@ class H(_Unary):
 
     def _build(self, inner: Term) -> None:
         super()._build(inner)
-        self._set_facts(inner._nullable, False, False, inner._letters)
+        self._set_facts(inner._nullable, False, False, inner._left_seq, inner._letters)
 
 
 def _leaf(cls, nullable: bool) -> Term:
     node = object.__new__(cls)
-    node._set_facts(nullable, True, False, frozenset())
+    node._set_facts(nullable, True, False, False, frozenset())
     return node
 
 
 def _atom(letter: str) -> Atom:
     node = object.__new__(Atom)
     node.letter = letter
-    node._set_facts(False, True, True, frozenset(letter))
+    node._set_facts(False, True, True, False, frozenset(letter))
     return node
 
 
@@ -270,6 +292,49 @@ def size(term: Term) -> int:
     for t in postorder(term):
         counts[t] = 1 + sum(counts[c] for c in _operands(t))
     return counts[term]
+
+
+def right_associated(term: Term) -> Term:
+    """``term`` with every ``;``-chain nested to the right, so ``(a ; b) ; c``
+    becomes ``a ; (b ; c)``. ``;`` is associative, so the language is the
+    same. A term with no ``;`` whose left operand is a ``;`` is returned
+    itself. The walk uses an explicit stack and flattens each distinct
+    maximal chain once, so it is linear in the term's size as a tree."""
+    if not term._left_seq:
+        return term
+    done: dict[Term, Term] = {}
+    stack: list = [(term, None)]
+    while stack:
+        t, parts = stack.pop()
+        if parts is not None:
+            if type(t) is Seq:
+                acc = done[parts[-1]]
+                for part in reversed(parts[:-1]):
+                    acc = Seq(done[part], acc)
+                done[t] = acc
+            else:
+                done[t] = type(t)(*(done[c] for c in parts))
+        elif t not in done:
+            if not t._left_seq:
+                done[t] = t
+                continue
+            if type(t) is Seq:
+                # The chain's factors, left to right: its nodes that are
+                # not themselves a ``;``.
+                parts = []
+                pending = [t]
+                while pending:
+                    node = pending.pop()
+                    if type(node) is Seq:
+                        pending.append(node.right)
+                        pending.append(node.left)
+                    else:
+                        parts.append(node)
+            else:
+                parts = _operands(t)
+            stack.append((t, parts))
+            stack.extend((c, None) for c in parts)
+    return done[term]
 
 
 def _flatten(term: Term) -> tuple:

@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
-a product, derivatives are recomputed one symbol at a time by enumerating
-product splits, linear systems are built over ``reachable_terms``, a
+a product and by ``reference_equiv``, the pair search started from the
+terms as given rather than from their right-associated copies,
+derivatives are recomputed one symbol at a time by enumerating product
+splits, linear systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
 (``reference_solve``), a term's distinct nodes in post-order, bounded
@@ -19,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from collections.abc import Iterable
 from typing import Callable
 
@@ -55,8 +58,10 @@ from synka import (
     letters,
     nonempty_subsets,
     nullable,
+    step,
     transitions,
 )
+from synka.equivalence import EquivResult, _UnionFind
 from synka.terms import LETTERS
 
 
@@ -88,6 +93,36 @@ def brute_force_equiv(e, f) -> bool:
                 seen.add(pair)
                 stack.append(pair)
     return True
+
+
+def reference_equiv(e, f) -> EquivResult:
+    """``equiv`` as it was before it right-associated its inputs: the same
+    breadth-first pair search with a union-find, started from ``e`` and
+    ``f`` themselves."""
+    uf = _UnionFind()
+    expanded: dict = {}
+
+    def expand(subset):
+        if subset not in expanded:
+            expanded[subset] = (any(nullable(q) for q in subset), step(subset))
+        return expanded[subset]
+
+    empty: frozenset = frozenset()
+    queue = deque([(frozenset((e,)), frozenset((f,)), ())])
+    while queue:
+        left, right, word = queue.popleft()
+        if uf.find(left) == uf.find(right):
+            continue
+        accept_left, next_left = expand(left)
+        accept_right, next_right = expand(right)
+        if accept_left != accept_right:
+            return EquivResult(False, word)
+        uf.union(left, right)
+        for symbol in sorted(next_left.keys() | next_right.keys()):
+            queue.append(
+                (next_left.get(symbol, empty), next_right.get(symbol, empty), word + (symbol,))
+            )
+    return EquivResult(True, None)
 
 
 def _splits(symbols: SymSet):

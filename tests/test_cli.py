@@ -141,13 +141,15 @@ def test_check_all_suites_quick(capsys):
 
 
 def test_deep_chain_is_a_resource_error(capsys):
-    # 600 letters are within reach of the recursion limit; 3000 still
-    # overflow when the chain's transition table is built.
-    chain = ";".join("ab"[i % 2] for i in range(600))
-    code, out, err = run(capsys, "equiv", chain, chain + " ; 1")
-    assert (code, out, err) == (0, "equivalent\n", "")
+    # ``equiv`` steps over right-associated chains, so it answers a chain
+    # of any length; ``nf`` builds the left-nested chain's transition
+    # table by recursion, which overflows at 3000 letters.
+    for length in (600, 3000, 5000):
+        chain = ";".join("ab"[i % 2] for i in range(length))
+        code, out, err = run(capsys, "equiv", chain, chain + " ; 1")
+        assert (code, out, err) == (0, "equivalent\n", "")
     chain = ";".join("ab"[i % 2] for i in range(3000))
-    code, out, err = run(capsys, "equiv", chain, chain + " ; 1")
+    code, out, err = run(capsys, "nf", chain)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,16 +1,23 @@
+import functools
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_equiv
+from helpers import brute_force_equiv, reference_equiv, term_strategy
 from synka import (
     Atom,
+    EquivResult,
+    H,
     One,
     Plus,
     Seq,
     Star,
     StateLimitError,
     Sync,
+    SymSet,
     Zero,
     equiv,
     member,
@@ -18,7 +25,17 @@ from synka import (
     parse_word,
     sem_bounded,
 )
+from synka import terms
 from synka.checks import random_context, random_sl_term, random_term
+
+# Left-nested ``;``-chains of random terms with ``&`` and ``H``, alone and
+# under ``&``, ``*`` and ``H``: the inputs that ``equiv`` right-associates.
+_chains = st.lists(term_strategy("ab", max_leaves=5), min_size=1, max_size=4).map(
+    lambda parts: functools.reduce(Seq, parts)
+)
+_chain_terms = st.one_of(
+    _chains, st.builds(Sync, _chains, _chains), st.builds(Star, _chains), st.builds(H, _chains)
+)
 
 
 def test_known_equivalences():
@@ -136,3 +153,54 @@ def test_witness_is_shortest():
     )
     assert not result.equivalent
     assert len(result.witness) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chain_terms, _chain_terms)
+def test_matches_reference_on_left_nested_chains(e, f):
+    # Both searches return the shortlex-least word in the symmetric
+    # difference, whatever terms represent the states.
+    assert equiv(e, f) == reference_equiv(e, f)
+    assert equiv(Plus(e, f), Plus(f, e)) == EquivResult(True, None)
+
+
+def _word_query(length):
+    rng = random.Random(length)
+    word = ";".join(rng.choice("ab") for _ in range(length))
+    return parse_term("(a+b)* ; " + word), parse_term("(a*;b*)* ; " + word)
+
+
+def test_word_query_creates_linearly_many_nodes(monkeypatch):
+    # Every new compound node runs ``_Binary._build`` or ``_Unary._build``.
+    created = []
+
+    def counting(build):
+        def counted(node, *operands):
+            created.append(type(node))
+            build(node, *operands)
+
+        return counted
+
+    for cls in (terms._Binary, terms._Unary):
+        monkeypatch.setattr(cls, "_build", counting(cls._build))
+
+    def nodes_created(length):
+        e, f = _word_query(length)
+        gc.collect()
+        created.clear()
+        assert equiv(e, f).equivalent
+        return len(created)
+
+    small, large = nodes_created(200), nodes_created(400)
+    assert large <= 2.2 * small
+
+
+def test_member_of_a_long_chain():
+    length = 5000
+    letters = ["ab"[i % 2] for i in range(length)]
+    word = tuple(SymSet(letter) for letter in letters)
+    chain = Atom("a")
+    for letter in letters[1:]:
+        chain = Seq(chain, Atom(letter))
+    assert member(word, chain)
+    assert not member(word[:-1], chain)

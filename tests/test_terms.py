@@ -33,8 +33,9 @@ from synka import (
     to_normal_form,
     transitions,
 )
+from synka import terms
 from synka.checks import random_term
-from synka.terms import postorder
+from synka.terms import postorder, right_associated
 
 
 def _chain(length):
@@ -119,6 +120,29 @@ def test_unreferenced_term_is_freed():
     del term
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_intern_table_forgets_dead_nodes():
+    gc.collect()
+    baseline = len(terms._NODES)
+    chain = Atom("p")
+    built = []
+    for i in range(10_000):
+        chain = Seq(chain, Atom("pq"[i % 2]))
+        built.append(Star(chain))
+    assert len(terms._NODES) == baseline + 20_000
+    del chain, built
+    gc.collect()
+    assert len(terms._NODES) == baseline
+
+
+def test_right_associated_nests_chains_to_the_right():
+    term = parse_term("(a ; b) ; (c ; d)* ; H((a ; b) ; c)")
+    assert right_associated(term) is parse_term("a ; (b ; ((c ; d)* ; H(a ; (b ; c))))")
+    flat = parse_term("a ; (b & c ; d)* + H(a)")
+    assert right_associated(flat) is flat
+    deep = right_associated(_chain(5000))
+    assert deep.left is Atom("a") and not deep._left_seq
 
 
 @pytest.mark.parametrize("text", ["0", "1", "a", "(a ; b)* & H(c + 1)", "H(a)* + 0 ; 1"])
