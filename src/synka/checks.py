@@ -3,10 +3,17 @@
 Each suite draws random terms (or model elements) from a ``random.Random``
 seeded by the caller, exercises one family of laws, and reports per-law
 run and failure counts. Identical seeds give identical reports.
+
+Every instance of a law is counted by ``CheckResult.record``, which also
+keeps a description of the first three that fail. The equation schemas
+run through one loop, ``_equations``: over terms compared by ``equiv`` in
+the ``axioms`` suite, and over model elements compared by ``==`` in the
+``countermodel`` suite; ``_implication`` checks the fixpoint rules.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,13 +40,23 @@ from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
 
 @dataclass
 class CheckResult:
-    """Outcome of one named law over a number of random instances."""
+    """Outcome of one named law over a number of random instances, with
+    descriptions of the first three that failed."""
 
     name: str
-    runs: int
-    failures: int
+    runs: int = 0
+    failures: int = 0
     note: str = ""
     details: list[str] = field(default_factory=list)
+
+    def record(self, held: bool, detail: Callable[[], str]) -> None:
+        """Count one instance; when it failed, keep ``detail()`` if fewer
+        than three descriptions are kept."""
+        self.runs += 1
+        if not held:
+            self.failures += 1
+            if len(self.details) < 3:
+                self.details.append(detail())
 
     @property
     def passed(self) -> bool:
@@ -246,49 +263,56 @@ SKA_EQUATIONS = tuple(s for s in EQUATIONS if s.ska)
 # Suites
 
 
+def _equations(prefix: str, schemas: tuple[EquationSchema, ...], iters: int, ops: Ops,
+               draw: Callable[[], object], draw_sl: Callable[[], object],
+               same: Callable[[object, object], bool]) -> list[CheckResult]:
+    """Check each schema on ``iters`` instances, its variables drawn by
+    ``draw`` and its semilattice variables by ``draw_sl``, in that order."""
+    results = []
+    for schema in schemas:
+        result = CheckResult(prefix + schema.name)
+        for _ in range(iters):
+            variables = [draw() for _ in range(schema.arity)]
+            sl_variables = [draw_sl() for _ in range(schema.sl_arity)]
+            lhs, rhs = schema.build(ops, variables, sl_variables)
+            result.record(same(lhs, rhs),
+                          lambda: "%s != %s on %s" % (lhs, rhs, [str(v) for v in variables]))
+        results.append(result)
+    return results
+
+
 def _implication(name: str, iters: int, draw: Callable[[int], dict],
                  premise: Callable[..., bool], conclusion: Callable[..., bool]) -> CheckResult:
     """Check ``premise => conclusion`` on ``iters`` instances; ``draw(i)``
     gives instance ``i`` as named values, passed to both by name."""
-    held = failures = 0
-    details: list[str] = []
+    result = CheckResult(name)
+    held = 0
     for i in range(iters):
         values = draw(i)
-        if premise(**values):
-            held += 1
-            if not conclusion(**values):
-                failures += 1
-                if len(details) < 3:
-                    details.append(" ".join("%s=%s" % item for item in values.items()))
-    return CheckResult(name, iters, failures, note="hypothesis held %d/%d" % (held, iters),
-                       details=details)
+        hypothesis = premise(**values)
+        held += hypothesis
+        result.record(not hypothesis or conclusion(**values),
+                      lambda: " ".join("%s=%s" % item for item in values.items()))
+    result.note = "hypothesis held %d/%d" % (held, iters)
+    return result
 
 
-def check_axioms(
-    seed: int, iters: int = 100, alphabet: str = "ab", size: int = 6
-) -> list[CheckResult]:
+def check_axioms(seed: int, iters: int = 100, alphabet: str = "ab") -> list[CheckResult]:
     """Decide every equational axiom schema on random instances, and the
     fixpoint implications on instances where the hypothesis holds."""
     rng = random.Random(seed)
-    results: list[CheckResult] = []
-    for schema in EQUATIONS:
-        failures = 0
-        details: list[str] = []
-        for _ in range(iters):
-            variables = [random_term(rng, alphabet, rng.randint(1, size)) for _ in range(schema.arity)]
-            sl_variables = [random_sl_term(rng, alphabet, rng.randint(1, 3)) for _ in range(schema.sl_arity)]
-            lhs, rhs = schema.build(TERM_OPS, variables, sl_variables)
-            if not equiv(lhs, rhs).equivalent:
-                failures += 1
-                if len(details) < 3:
-                    details.append("%s != %s" % (lhs, rhs))
-        results.append(CheckResult("axiom %s" % schema.name, iters, failures, details=details))
-
-    def leq(x: Term, y: Term) -> bool:
-        return equiv(Plus(x, y), y).equivalent
 
     def term() -> Term:
-        return random_term(rng, alphabet, rng.randint(1, size))
+        return random_term(rng, alphabet, rng.randint(1, 6))
+
+    def same(x: Term, y: Term) -> bool:
+        return equiv(x, y).equivalent
+
+    results = _equations("axiom ", EQUATIONS, iters, TERM_OPS, term,
+                         lambda: random_sl_term(rng, alphabet, rng.randint(1, 3)), same)
+
+    def leq(x: Term, y: Term) -> bool:
+        return same(Plus(x, y), y)
 
     # Least fixpoint rules: half the instances are constructed so the
     # hypothesis holds, the rest probe random triples.
@@ -314,23 +338,21 @@ def check_axioms(
         lambda e, f, g: leq(Seq(e, Star(g)), f)))
     results.append(_implication(
         "implication unique-fixpoint", iters, draw_unique,
-        lambda e, f, g: equiv(H(f), Zero()).equivalent
-        and equiv(Plus(e, Seq(f, g)), g).equivalent,
-        lambda e, f, g: equiv(Seq(Star(f), e), g).equivalent))
+        lambda e, f, g: same(H(f), Zero()) and same(Plus(e, Seq(f, g)), g),
+        lambda e, f, g: same(Seq(Star(f), e), g)))
     return results
 
 
 def check_derivatives(
-    seed: int, iters: int = 300, alphabet: str = "abc", size: int = 12, bound: int = 4
+    seed: int, iters: int = 300, alphabet: str = "abc", bound: int = 4
 ) -> list[CheckResult]:
     """Automaton acceptance against the bounded semantics, on every word
     up to the bound over the full subset alphabet."""
     rng = random.Random(seed)
     symbols = nonempty_subsets(alphabet)
-    failures = 0
-    details: list[str] = []
+    result = CheckResult("derivative soundness")
     for _ in range(iters):
-        term = random_term(rng, alphabet, rng.randint(1, size))
+        term = random_term(rng, alphabet, rng.randint(1, 12))
         expected = sem_bounded(term, bound)
         automaton = build_automaton(term)
         mismatch = []
@@ -346,73 +368,50 @@ def check_derivatives(
                 walk(word + (symbol,), table.get(symbol, frozenset()))
 
         walk((), frozenset((automaton.initial,)))
-        if mismatch:
-            failures += 1
-            if len(details) < 3:
-                details.append("term %s mismatches on %d words" % (term, len(mismatch)))
-    return [CheckResult("derivative soundness", iters, failures, details=details)]
+        result.record(not mismatch, lambda: "term %s mismatches on %d words" % (term, len(mismatch)))
+    return [result]
 
 
 def check_fundamental(
-    seed: int, iters: int = 300, alphabet: str = "abc", size: int = 12, bound: int = 4
+    seed: int, iters: int = 300, alphabet: str = "abc", bound: int = 4
 ) -> list[CheckResult]:
     """The one-step decomposition denotes the same bounded language as the
     term it was unfolded from."""
     rng = random.Random(seed)
-    failures = 0
-    details: list[str] = []
+    result = CheckResult("one-step unfolding")
     for _ in range(iters):
-        term = random_term(rng, alphabet, rng.randint(1, size))
+        term = random_term(rng, alphabet, rng.randint(1, 12))
         rebuilt = unfold_as_term(term)
-        if sem_bounded(term, bound) != sem_bounded(rebuilt, bound):
-            failures += 1
-            if len(details) < 3:
-                details.append(str(term))
-    return [CheckResult("one-step unfolding", iters, failures, details=details)]
+        result.record(sem_bounded(term, bound) == sem_bounded(rebuilt, bound), lambda: str(term))
+    return [result]
 
 
-def check_normalform(
-    seed: int, iters: int = 200, alphabet: str = "ab", size: int = 8
-) -> list[CheckResult]:
+def check_normalform(seed: int, iters: int = 200, alphabet: str = "ab") -> list[CheckResult]:
     """Normal forms classify into the star fragment and stay equivalent;
     the state-labelling vector solves each term's own linear system."""
     rng = random.Random(seed)
-    nsf_failures = equiv_failures = solution_failures = 0
-    details_nsf: list[str] = []
-    details_equiv: list[str] = []
-    details_sol: list[str] = []
+    classifies = CheckResult("normal form classifies")
+    equivalent = CheckResult("normal form equivalent")
+    solves = CheckResult("identity labelling solves system")
     for _ in range(iters):
-        term = random_term(rng, alphabet, rng.randint(1, size))
+        term = random_term(rng, alphabet, rng.randint(1, 8))
         system = build_system(term)
         normal = solve(system)[term]
-        if not classify(normal).nsf:
-            nsf_failures += 1
-            if len(details_nsf) < 3:
-                details_nsf.append("%s -> %s" % (term, normal))
-        if not equiv(normal, term).equivalent:
-            equiv_failures += 1
-            if len(details_equiv) < 3:
-                details_equiv.append("%s -> %s" % (term, normal))
-        for state in system.states:
-            acc: Term = system.vector[state]
-            for target in system.states:
-                entry = system.matrix.get((state, target))
-                if entry is not None:
-                    acc = Plus(acc, Seq(entry, target))
+        classifies.record(classify(normal).nsf, lambda: "%s -> %s" % (term, normal))
+        equivalent.record(equiv(normal, term).equivalent, lambda: "%s -> %s" % (term, normal))
+        unsolved = None
+        for state, row in system.rows().items():
+            acc = system.vector[state]
+            for target, entry in row:
+                acc = Plus(acc, Seq(entry, target))
             if not equiv(acc, state).equivalent:
-                solution_failures += 1
-                if len(details_sol) < 3:
-                    details_sol.append("state %s of %s" % (state, term))
+                unsolved = state
                 break
-    return [
-        CheckResult("normal form classifies", iters, nsf_failures, details=details_nsf),
-        CheckResult("normal form equivalent", iters, equiv_failures, details=details_equiv),
-        CheckResult("identity labelling solves system", iters, solution_failures,
-                    details=details_sol),
-    ]
+        solves.record(unsolved is None, lambda: "state %s of %s" % (unsolved, term))
+    return [classifies, equivalent, solves]
 
 
-def sample_model_elements(rng: random.Random, count: int = 56) -> list[ModelElement]:
+def sample_model_elements(rng: random.Random) -> list[ModelElement]:
     """A deterministic pool of model elements: the required named ones
     plus random eventually periodic sets."""
     pool: list[ModelElement] = [
@@ -427,7 +426,7 @@ def sample_model_elements(rng: random.Random, count: int = 56) -> list[ModelElem
         UnaryLang.periodic((1,), 4, 3, (0, 2)),
         DAGGER,
     ]
-    while len(pool) < count:
+    while len(pool) < 56:
         threshold = rng.randint(0, 4)
         low = [n for n in range(threshold) if rng.random() < 0.4]
         period = rng.randint(1, 4)
@@ -436,29 +435,17 @@ def sample_model_elements(rng: random.Random, count: int = 56) -> list[ModelElem
     return pool
 
 
-def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[CheckResult]:
+def check_countermodel(seed: int, iters: int = 300) -> list[CheckResult]:
     """The original axioms hold in the model: equational schemas on random
     element tuples, fixpoint implications where the hypothesis holds, and
     the product of a finite with an infinite set stays infinite. Last, on
     random one-letter terms without ``&`` or H, a term's normal form has
     the term's own model value."""
     rng = random.Random(seed)
-    pool = sample_model_elements(rng, count)
+    pool = sample_model_elements(rng)
     generator = UnaryLang.generator()
-    results: list[CheckResult] = []
-    for schema in SKA_EQUATIONS:
-        failures = 0
-        details: list[str] = []
-        for _ in range(iters):
-            variables = [rng.choice(pool) for _ in range(schema.arity)]
-            sl_variables = [generator] * schema.sl_arity
-            lhs, rhs = schema.build(MODEL_OPS, variables, sl_variables)
-            if lhs != rhs:
-                failures += 1
-                if len(details) < 3:
-                    details.append("%s != %s on %s" % (lhs, rhs, [str(v) for v in variables]))
-        results.append(CheckResult("model axiom %s" % schema.name, iters, failures,
-                                   details=details))
+    results = _equations("model axiom ", SKA_EQUATIONS, iters, MODEL_OPS,
+                         lambda: rng.choice(pool), lambda: generator, operator.eq)
 
     def draw_lfp_left(i: int) -> dict[str, ModelElement]:
         k, l = rng.choice(pool), rng.choice(pool)
@@ -479,33 +466,23 @@ def check_countermodel(seed: int, iters: int = 300, count: int = 56) -> list[Che
 
     finite = [x for x in pool if isinstance(x, UnaryLang) and not x.is_infinite and not x.is_empty]
     infinite = [x for x in pool if isinstance(x, UnaryLang) and x.is_infinite]
-    runs = failures = 0
-    details = []
+    result = CheckResult("finite x infinite stays infinite")
     for fin in finite:
         for inf in infinite:
-            runs += 1
             product = cm_sync(fin, inf)
-            if not (isinstance(product, UnaryLang) and product.is_infinite):
-                failures += 1
-                if len(details) < 3:
-                    details.append("%s x %s = %s" % (fin, inf, product))
-    results.append(CheckResult("finite x infinite stays infinite", runs, failures,
-                               details=details))
+            result.record(isinstance(product, UnaryLang) and product.is_infinite,
+                          lambda: "%s x %s = %s" % (fin, inf, product))
+    results.append(result)
 
     # Without & no dagger arises, so both sides are the length set of one
     # language and must agree.
-    failures = 0
-    details = []
+    result = CheckResult("model value of normal form")
     for _ in range(iters):
         term = random_term(rng, "a", rng.randint(1, 8), allow_h=False, allow_sync=False)
         value = eval_cm(term)
         normal_value = eval_cm(to_normal_form(term))
-        if normal_value != value:
-            failures += 1
-            if len(details) < 3:
-                details.append("%s: %s != %s" % (term, normal_value, value))
-    results.append(CheckResult("model value of normal form", iters, failures,
-                               details=details))
+        result.record(normal_value == value, lambda: "%s: %s != %s" % (term, normal_value, value))
+    results.append(result)
     return results
 
 

@@ -23,19 +23,21 @@ from .normalform import build_system, format_system, solve
 from .syntax import parse_term, parse_term_file, print_term
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # The flags every command reads; each command adds its own.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alphabet", metavar="LETTERS",
                         help="declare the alphabet; other letters are rejected")
-    common.add_argument("--bound", type=int, default=4, metavar="N",
-                        help="word length bound for bounded-semantics checks")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="random seed for check suites")
-    common.add_argument("--iters", type=int, default=None, metavar="N",
-                        help="instances per property in check suites, at least 1 "
-                             "(default: per suite)")
-    common.add_argument("--cap", type=int, default=DEFAULT_PAIR_CAP, metavar="N",
-                        help="state-pair cap for the equivalence check")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
     parser = argparse.ArgumentParser(
@@ -58,6 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common], help="decide language equivalence")
     p.add_argument("left")
     p.add_argument("right")
+    p.add_argument("--cap", type=int, default=DEFAULT_PAIR_CAP, metavar="N",
+                   help="state-pair cap for the equivalence check")
 
     p = sub.add_parser("nf", parents=[common], help="print an equivalent normal form")
     p.add_argument("term")
@@ -73,6 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run a property suite")
     p.add_argument("suite", choices=list(SUITES))
+    p.add_argument("--bound", type=int, default=4, metavar="N",
+                   help="word length bound for the bounded-semantics suites")
+    p.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
+    p.add_argument("--iters", type=_at_least_one, default=None, metavar="N",
+                   help="instances per property, at least 1 (default: per suite)")
     return parser
 
 
@@ -179,7 +188,10 @@ def _cmd_check(args) -> int:
     accepted = inspect.signature(suite).parameters
     results = suite(args.seed, **{name: value for name, value in options.items()
                                   if value is not None and name in accepted})
-    lines = [r.line() for r in results]
+    lines = []
+    for r in results:
+        lines.append(r.line())
+        lines.extend("    %s" % detail for detail in r.details)
     failed = [r for r in results if not r.passed]
     lines.append("suite %s: %d checks, %d failed" % (args.suite, len(results), len(failed)))
     payload = {
@@ -188,7 +200,7 @@ def _cmd_check(args) -> int:
         "seed": args.seed,
         "results": [
             {"name": r.name, "runs": r.runs, "failures": r.failures,
-             "note": r.note, "passed": r.passed}
+             "note": r.note, "passed": r.passed, "details": r.details}
             for r in results
         ],
         "passed": not failed,
@@ -209,10 +221,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.iters is not None and args.iters < 1:
-        parser.error("argument --iters: must be at least 1, got %d" % args.iters)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, StateLimitError, OSError) as exc:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from typing import Callable, Union
+from typing import Union
 
 from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, _operands, postorder
 
@@ -80,21 +80,10 @@ class UnaryLang:
 
     __slots__ = ("threshold", "period", "low_bits", "cycle_bits", "_hash")
 
-    def __init__(self, threshold: int, period: int, member: Callable[[int], bool]):
-        """The set that is ``period``-periodic from ``threshold``, with the
-        given membership below ``threshold + period``."""
-        self._set(threshold, period, sum(1 << n for n in range(threshold + period) if member(n)))
-
-    @classmethod
-    def _of_window(cls, threshold: int, period: int, bits: int) -> UnaryLang:
-        lang = object.__new__(cls)
-        lang._set(threshold, period, bits)
-        return lang
-
-    def _set(self, threshold: int, period: int, bits: int) -> None:
-        """Store in canonical form the set that is ``period``-periodic from
-        ``threshold`` and whose members below ``threshold + period`` are
-        the set bits of ``bits``."""
+    def __init__(self, threshold: int, period: int, bits: int):
+        """The set that is ``period``-periodic from ``threshold`` and whose
+        members below ``threshold + period`` are the set bits of ``bits``,
+        stored in canonical form."""
         cycle = bits >> threshold & _mask(period)
         for candidate in range(1, period):
             if not period % candidate and cycle == _repeat(
@@ -125,7 +114,7 @@ class UnaryLang:
         if any(v < 0 for v in values):
             raise ValueError("members must be naturals")
         bound = max(values) + 1 if values else 0
-        return cls._of_window(bound, 1, sum(1 << v for v in values))
+        return cls(bound, 1, sum(1 << v for v in values))
 
     @classmethod
     def periodic(
@@ -145,7 +134,7 @@ class UnaryLang:
         if any(v < 0 or v >= threshold for v in lows):
             raise ValueError("low members must lie below the threshold")
         bits = sum(1 << v for v in lows) | sum(1 << r for r in offs) << threshold
-        return cls._of_window(threshold, period, bits)
+        return cls(threshold, period, bits)
 
     @classmethod
     def empty(cls) -> UnaryLang:
@@ -163,7 +152,7 @@ class UnaryLang:
 
     @classmethod
     def naturals(cls) -> UnaryLang:
-        return cls._of_window(0, 1, 1)
+        return cls(0, 1, 1)
 
     def __contains__(self, n: int) -> bool:
         if n < 0:
@@ -214,7 +203,7 @@ class UnaryLang:
         period = math.lcm(self.period, other.period)
         threshold = max(self.threshold, other.threshold)
         end = threshold + period
-        return UnaryLang._of_window(threshold, period, self._window(end) | other._window(end))
+        return UnaryLang(threshold, period, self._window(end) | other._window(end))
 
     def sum_set(self, other: UnaryLang) -> UnaryLang:
         """Concatenation on length sets: all sums of a member of each.
@@ -238,7 +227,7 @@ class UnaryLang:
         while mine:
             bits |= theirs << _lowest(mine)
             mine &= mine - 1
-        return UnaryLang._of_window(threshold, period, bits & _mask(end))
+        return UnaryLang(threshold, period, bits & _mask(end))
 
     def max_set(self, other: UnaryLang) -> UnaryLang:
         """Synchronous product on length sets: all pointwise maxima.
@@ -254,7 +243,7 @@ class UnaryLang:
         threshold = max(self.threshold, other.threshold, mine + 1, theirs + 1)
         end = threshold + period
         bits = self._window(end) & ~_mask(theirs) | other._window(end) & ~_mask(mine)
-        return UnaryLang._of_window(threshold, period, bits)
+        return UnaryLang(threshold, period, bits)
 
     def star_closure(self) -> UnaryLang:
         """The least set containing 0 and closed under adding members.
@@ -303,7 +292,7 @@ class UnaryLang:
         bits = 0
         for n in first.values():
             bits |= _repeat(1, p, -(-(end - n) // p)) << n
-        return UnaryLang._of_window(threshold, p, bits & _mask(end))
+        return UnaryLang(threshold, p, bits & _mask(end))
 
 
 ModelElement = Union[Dagger, UnaryLang]

@@ -46,6 +46,17 @@ class LinearSystem:
     matrix: dict[tuple[Term, Term], Term]
     vector: dict[Term, Term]
 
+    def rows(self) -> dict[Term, list[tuple[Term, Term]]]:
+        """Each state's nonzero entries as ``(target, entry)`` pairs, the
+        states and each row's targets in state order."""
+        order = {state: i for i, state in enumerate(self.states)}
+        rows: dict[Term, list[tuple[Term, Term]]] = {state: [] for state in self.states}
+        for (source, target), entry in self.matrix.items():
+            rows[source].append((target, entry))
+        for row in rows.values():
+            row.sort(key=lambda item: order[item[0]])
+        return rows
+
 
 def build_system(term: Term) -> LinearSystem:
     """The linear system of a term over the states its transitions reach.
@@ -154,16 +165,15 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
     """
     states = system.states
     index = {state: i for i, state in enumerate(states)}
-    entries: list[list[tuple[int, Term]]] = [[] for _ in states]
-    for (source, target), entry in system.matrix.items():
-        if nullable(entry):
-            raise NotGuardedError(
-                "matrix entry (%s, %s) = %s accepts the empty word" % (source, target, entry)
-            )
-        entries[index[source]].append((index[target], entry))
     # Each state's (summand, target) pairs, in target order.
-    edges = [[(s, t) for t, entry in sorted(row, key=lambda item: item[0]) for s in _summands(entry)]
-             for row in entries]
+    edges: list[list[tuple[Term, int]]] = []
+    for source, row in system.rows().items():
+        for target, entry in row:
+            if nullable(entry):
+                raise NotGuardedError(
+                    "matrix entry (%s, %s) = %s accepts the empty word" % (source, target, entry)
+                )
+        edges.append([(s, index[t]) for t, entry in row for s in _summands(entry)])
     classes = _bisimulation_classes([system.vector[state] for state in states], edges)
 
     # The quotient system over class numbers: one sparse row per class, from
@@ -224,11 +234,8 @@ def format_system(system: LinearSystem) -> str:
     """Tabular rendering: one row per state with its vector entry and the
     nonzero matrix entries."""
     lines = []
-    for source in system.states:
+    for source, row in system.rows().items():
         cells = ["state %s" % source, "out %s" % system.vector[source]]
-        for target in system.states:
-            entry = system.matrix.get((source, target))
-            if entry is not None:
-                cells.append("[%s] %s" % (target, entry))
+        cells.extend("[%s] %s" % item for item in row)
         lines.append(" | ".join(cells))
     return "\n".join(lines)

@@ -17,16 +17,16 @@ operand stack and an operator stack, so nesting depth is bounded by
 memory, not by the recursion limit. It reads the operators' symbols and
 binding strengths from the term classes, as the printer does.
 
-``classify`` decides membership in the normal-form grammar bottom-up over
-``terms.postorder``, so it is not bounded by the recursion limit either.
+``classify`` reads three facts that every node records at construction
+(semilattice term, ``H``-free, in the normal-form grammar), so it takes
+constant time at any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import semilattice
-from .terms import LETTERS, Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, h_free, postorder
+from .terms import LETTERS, Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
 
 
 class TermSyntaxError(ValueError):
@@ -162,33 +162,6 @@ class Fragments:
     sf1: bool = True
 
 
-def _is_nsf(term: Term) -> bool:
-    """Normal-form grammar membership, kept on each node once computed."""
-    if term._nsf is None:
-        for t in postorder(term):
-            if t._nsf is not None:
-                continue
-            if isinstance(t, (Zero, One)):
-                nsf = True
-            elif semilattice.is_sl_term(t):
-                # Atoms must be fixed points of semilattice normalization.
-                nsf = t is semilattice.normalize_sl(t)
-            elif isinstance(t, (Plus, Seq)):
-                nsf = t.left._nsf and t.right._nsf
-            elif isinstance(t, Star):
-                nsf = t.inner._nsf
-            else:
-                # A Sync over non-semilattice operands, or any H, is outside
-                # the normal-form grammar.
-                nsf = False
-            t._nsf = nsf
-    return term._nsf
-
-
 def classify(term: Term) -> Fragments:
     """Report which grammar fragments ``term`` belongs to."""
-    return Fragments(
-        sl=semilattice.is_sl_term(term),
-        ska=h_free(term),
-        nsf=_is_nsf(term),
-    )
+    return Fragments(sl=term._sl, ska=term._h_free, nsf=term._nsf)

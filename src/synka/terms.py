@@ -13,20 +13,20 @@ node's class and operand ids to a weak reference to the node, so a lookup
 is one dict access and one call. The reference's callback removes the key
 when the node dies, unless a new node holds the key by then. A node nobody
 references is thus freed with all that is recorded on it: its letters and
-whether it is nullable, ``H``-free, a semilattice term or holds a ``;``
-whose left operand is a ``;``, set at construction from its operands'
-facts, and its transition table and normal-form membership, filled on
-first use by ``derivatives`` and ``syntax``. ``0``, ``1`` and the atoms
-are fixed instances. Pickling and copying go back through the
-constructors, so they give the same node; a pickle holds a flat
-post-order tuple of the distinct nodes, so neither depth nor sharing
-makes it recurse or grow. A deep copy is the node itself.
+whether it is nullable, ``H``-free, a semilattice term, in the normal-form
+grammar or holds a ``;`` whose left operand is a ``;``, set at
+construction from its operands' facts, and its transition table, filled
+on first use by ``derivatives``. ``0``, ``1`` and the atoms are fixed
+instances. Pickling and copying go back through the constructors, so they
+give the same node; a pickle holds a flat post-order tuple of the
+distinct nodes, so neither depth nor sharing makes it recurse or grow. A
+deep copy is the node itself.
 
 ``postorder`` walks a term's distinct nodes, operands first, over an
 explicit stack; ``size``, the pickle encoding and the bottom-up passes in
-``language``, ``countermodel`` and ``syntax`` all run on it, so none is
-bounded by the recursion limit or slowed by sharing. ``right_associated``
-nests every ``;``-chain to the right, for the derivative searches in
+``language`` and ``countermodel`` all run on it, so none is bounded by
+the recursion limit or slowed by sharing. ``right_associated`` nests
+every ``;``-chain to the right, for the derivative searches in
 ``equivalence`` and ``derivatives.member``, and ``str`` prints a term
 with minimal parentheses; each walks a stack of its own, as it needs more
 than the operands-first order.
@@ -86,20 +86,20 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 class Term:
     """Base class of all term nodes."""
 
-    __slots__ = ("_nullable", "_h_free", "_sl", "_left_seq", "_letters", "_transitions", "_nsf",
+    __slots__ = ("_nullable", "_h_free", "_sl", "_nsf", "_left_seq", "_letters", "_transitions",
                  "__weakref__")
 
     precedence = _PREC_LEAF
 
-    def _set_facts(self, nullable: bool, h_free: bool, sl: bool, left_seq: bool,
+    def _set_facts(self, nullable: bool, h_free: bool, sl: bool, nsf: bool, left_seq: bool,
                    letters: frozenset[str]) -> None:
         self._nullable = nullable
         self._h_free = h_free
         self._sl = sl
+        self._nsf = nsf
         self._left_seq = left_seq
         self._letters = letters
         self._transitions = None
-        self._nsf = None
 
     def __repr__(self) -> str:
         return "<%s '%s'>" % (type(self).__name__, self)
@@ -161,7 +161,7 @@ class _Binary(Term):
         self.left = left
         self.right = right
         self._set_facts(left._nullable and right._nullable, left._h_free and right._h_free,
-                        False, left._left_seq or right._left_seq,
+                        False, left._nsf and right._nsf, left._left_seq or right._left_seq,
                         _union(left._letters, right._letters))
 
 
@@ -187,6 +187,10 @@ class Sync(_Binary):
     def _build(self, left: Term, right: Term) -> None:
         super()._build(left, right)
         self._sl = left._sl and right._sl
+        # In the normal-form grammar only as a canonical semilattice atom:
+        # letters in order, nested to the left.
+        self._nsf = (left._sl and left._nsf and type(right) is Atom
+                     and right.letter > max(left._letters))
 
 
 class Seq(_Binary):
@@ -221,7 +225,7 @@ class Star(_Unary):
 
     def _build(self, inner: Term) -> None:
         super()._build(inner)
-        self._set_facts(True, inner._h_free, False, inner._left_seq, inner._letters)
+        self._set_facts(True, inner._h_free, False, inner._nsf, inner._left_seq, inner._letters)
 
 
 class H(_Unary):
@@ -231,19 +235,19 @@ class H(_Unary):
 
     def _build(self, inner: Term) -> None:
         super()._build(inner)
-        self._set_facts(inner._nullable, False, False, inner._left_seq, inner._letters)
+        self._set_facts(inner._nullable, False, False, False, inner._left_seq, inner._letters)
 
 
 def _leaf(cls, nullable: bool) -> Term:
     node = object.__new__(cls)
-    node._set_facts(nullable, True, False, False, frozenset())
+    node._set_facts(nullable, True, False, True, False, frozenset())
     return node
 
 
 def _atom(letter: str) -> Atom:
     node = object.__new__(Atom)
     node.letter = letter
-    node._set_facts(False, True, True, False, frozenset(letter))
+    node._set_facts(False, True, True, True, False, frozenset(letter))
     return node
 
 

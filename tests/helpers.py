@@ -8,12 +8,14 @@ derivatives are recomputed one symbol at a time by enumerating product
 splits, linear systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
-(``reference_solve``), a term's distinct nodes in post-order, bounded
-languages and the countermodel value of a term are recomputed by plain
-recursive tree walks, a term is printed by recursion over it as a tree
-and parsed by recursive descent, and the unary-set operators are
-recomputed by plain enumeration up to a horizon and by
-``ReferenceUnaryLang``, which tests membership one natural at a time.
+(``reference_solve``), normal-form grammar membership is decided by
+recursion over the term (``reference_is_nsf``), a term's distinct nodes
+in post-order, bounded languages and the countermodel value of a term
+are recomputed by plain recursive tree walks, a term is printed by
+recursion over it as a tree and parsed by recursive descent, and the
+unary-set operators are recomputed by plain enumeration up to a horizon
+and by ``ReferenceUnaryLang``, which tests membership one natural at a
+time.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from synka import (
     cm_plus,
     cm_star,
     cm_sync,
+    is_sl_term,
     lang_concat,
     lang_h,
     lang_star,
@@ -57,6 +60,7 @@ from synka import (
     lang_union,
     letters,
     nonempty_subsets,
+    normalize_sl,
     nullable,
     step,
     transitions,
@@ -312,6 +316,20 @@ def reference_postorder(term) -> list:
 
     visit(term)
     return out
+
+
+def reference_is_nsf(term) -> bool:
+    """Membership in the normal-form grammar by recursion over the term:
+    a semilattice term must be its own canonical form."""
+    if isinstance(term, (Zero, One)):
+        return True
+    if is_sl_term(term):
+        return term is normalize_sl(term)
+    if isinstance(term, (Plus, Seq)):
+        return reference_is_nsf(term.left) and reference_is_nsf(term.right)
+    if isinstance(term, Star):
+        return reference_is_nsf(term.inner)
+    return False
 
 
 def reference_sem_bounded(term, bound: int) -> BoundedLang:

@@ -72,7 +72,7 @@ def test_criterion_1_incompleteness(capsys):
 
 def test_criterion_2_derivative_soundness():
     start = time.time()
-    results = check_derivatives(seed=102, iters=300, alphabet="abc", size=12, bound=4)
+    results = check_derivatives(seed=102, iters=300, alphabet="abc", bound=4)
     elapsed = time.time() - start
     failures = sum(r.failures for r in results)
     _report(
@@ -83,7 +83,7 @@ def test_criterion_2_derivative_soundness():
 
 
 def test_criterion_3_unfolding_preserves_semantics():
-    results = check_fundamental(seed=103, iters=300, alphabet="abc", size=12, bound=4)
+    results = check_fundamental(seed=103, iters=300, alphabet="abc", bound=4)
     failures = sum(r.failures for r in results)
     _report(
         "criterion 3, one-step unfolding preserves semantics",
@@ -93,7 +93,7 @@ def test_criterion_3_unfolding_preserves_semantics():
 
 
 def test_criterion_4_axiom_soundness():
-    results = check_axioms(seed=104, iters=100, alphabet="ab", size=6)
+    results = check_axioms(seed=104, iters=100, alphabet="ab")
     failures = sum(r.failures for r in results)
     implications = [r for r in results if r.name.startswith("implication")]
     held_enough = all("held" in r.note and not r.note.startswith("hypothesis held 0/")
@@ -107,7 +107,7 @@ def test_criterion_4_axiom_soundness():
 
 def test_criterion_5_normal_form():
     start = time.time()
-    results = check_normalform(seed=105, iters=200, alphabet="ab", size=8)
+    results = check_normalform(seed=105, iters=200, alphabet="ab")
     elapsed = time.time() - start
     failures = sum(r.failures for r in results)
     _report(
@@ -119,7 +119,7 @@ def test_criterion_5_normal_form():
 
 def test_criterion_6_countermodel_axioms():
     rng = random.Random(106)
-    pool = sample_model_elements(rng, 56)
+    pool = sample_model_elements(rng)
     kinds_present = (
         UnaryLang.empty() in pool
         and UnaryLang.epsilon() in pool
@@ -127,7 +127,7 @@ def test_criterion_6_countermodel_axioms():
         and any(isinstance(x, UnaryLang) and x.is_infinite for x in pool)
         and DAGGER in pool
     )
-    results = check_countermodel(seed=106, iters=300, count=56)
+    results = check_countermodel(seed=106, iters=300)
     failures = sum(r.failures for r in results)
     _report(
         "criterion 6, countermodel satisfies the axioms",

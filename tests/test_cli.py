@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -182,3 +183,37 @@ def test_check_rejects_nonpositive_iters(capsys, iters):
     assert exit_info.value.code == 2
     assert captured.out == ""
     assert "--iters" in captured.err
+
+
+def test_check_prints_counterexamples(capsys, monkeypatch):
+    # With every equivalence answered "no", each equation fails, and the
+    # report shows the kept instances under the FAIL line and in JSON.
+    monkeypatch.setattr("synka.checks.equiv",
+                        lambda *args, **kwargs: SimpleNamespace(equivalent=False, witness=()))
+    code, out, _ = run(capsys, "check", "axioms", "--iters", "2")
+    assert code == 1
+    lines = out.splitlines()
+    fail = lines.index(next(line for line in lines if line.startswith("FAIL axiom plus-comm:")))
+    assert lines[fail + 1].startswith("    ") and " != " in lines[fail + 1]
+    code, out, _ = run(capsys, "check", "axioms", "--iters", "2", "--json")
+    assert code == 1
+    result = json.loads(out)["results"][0]
+    assert result["failures"] == 2 and len(result["details"]) == 2
+    assert all(" != " in detail for detail in result["details"])
+
+
+@pytest.mark.parametrize("argv", [["parse", "--cap", "5", "a"], ["equiv", "--seed", "1", "a", "a"],
+                                  ["nf", "--bound", "3", "a"], ["eval-cm", "--iters", "2", "a"]])
+def test_command_rejects_flags_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_equiv_cap(capsys):
+    code, out, err = run(capsys, "equiv", "--cap", "1", "(a+b;a)* & (a+b;a)*", "(a+b;a)*")
+    assert (code, out) == (2, "")
+    assert "exceeded 1 determinized state pairs" in err

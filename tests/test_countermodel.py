@@ -111,9 +111,11 @@ def test_unary_ops_match_reference(a_args, b_args):
     ref_a, ref_b = ReferenceUnaryLang.periodic(*a_args), ReferenceUnaryLang.periodic(*b_args)
     assert _canonical(a) == _canonical(ref_a)
     assert hash(a) == hash(ref_a) and a.min_element() == ref_a.min_element()
-    # The public constructor canonicalizes a longer threshold and period.
-    wide = (a.threshold + 3, 2 * a.period, a.__contains__)
-    assert _canonical(UnaryLang(*wide)) == _canonical(ReferenceUnaryLang(*wide)) == _canonical(a)
+    # The window constructor canonicalizes a longer threshold and period.
+    threshold, period = a.threshold + 3, 2 * a.period
+    wide = UnaryLang(threshold, period, a._window(threshold + period))
+    reference = ReferenceUnaryLang(threshold, period, a.__contains__)
+    assert _canonical(wide) == _canonical(reference) == _canonical(a)
     assert _canonical(a.union(b)) == _canonical(ref_a.union(ref_b))
     assert _canonical(a.sum_set(b)) == _canonical(ref_a.sum_set(ref_b))
     if not a.is_empty and not b.is_empty:
@@ -258,7 +260,7 @@ def test_model_axiom_suite():
 
 def test_sample_pool_contents():
     rng = random.Random(53)
-    pool = sample_model_elements(rng, 56)
+    pool = sample_model_elements(rng)
     assert len(pool) >= 50
     assert DAGGER in pool
     assert UnaryLang.empty() in pool

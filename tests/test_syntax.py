@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_parse, reference_print, term_strategy
+from helpers import (
+    reference_is_nsf,
+    reference_parse,
+    reference_print,
+    sl_term_strategy,
+    term_strategy,
+)
 from synka import (
     Atom,
     Fragments,
@@ -178,6 +184,15 @@ def test_classify_monotone(term):
         assert frag.ska
     if frag.nsf:
         assert frag.sf1
+
+
+@settings(max_examples=300)
+@given(st.one_of(term_strategy("abc"), sl_term_strategy("abc"),
+                 term_strategy("ab", max_leaves=5).map(to_normal_form)))
+def test_nsf_fact_matches_reference(term):
+    # The fact set at construction agrees with the recursive definition on
+    # random terms, semilattice terms and normal forms.
+    assert classify(term).nsf == reference_is_nsf(term)
 
 
 def test_letters():
