@@ -7,7 +7,6 @@ from .countermodel import (
     HTermError,
     ModelElement,
     UnaryLang,
-    ValuationError,
     cm_dot,
     cm_plus,
     cm_star,
@@ -16,9 +15,6 @@ from .countermodel import (
     model_leq,
 )
 from .derivatives import (
-    Automaton,
-    accepts,
-    build_automaton,
     derive,
     member,
     nullable,
@@ -83,19 +79,19 @@ from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, h_free, lett
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "Automaton", "BoundMismatchError", "BoundedLang", "DAGGER",
+    "Atom", "BoundMismatchError", "BoundedLang", "DAGGER",
     "DEFAULT_PAIR_CAP", "Dagger", "EquivResult", "Fragments", "H",
     "HTermError", "LinearSystem", "ModelElement", "NotGuardedError", "One",
     "Plus", "Seq", "Star", "StateLimitError", "SymSet", "Sync", "SyncWord",
-    "Term", "TermSyntaxError", "UnaryLang", "UnknownLetterError",
-    "ValuationError", "Zero", "accepts", "build_automaton", "build_system",
-    "canonical_atom", "classify", "cm_dot", "cm_plus", "cm_star", "cm_sync",
-    "derive", "equiv", "eval_cm", "format_system", "format_word", "h_free",
-    "is_sl_term", "lang_concat", "lang_h", "lang_star", "lang_sync",
-    "lang_union", "letters", "member", "model_leq", "nonempty_subsets",
-    "normalize_sl", "nullable", "parse_symset", "parse_term",
-    "parse_term_file", "parse_word", "pi_lang", "pi_word", "print_term",
-    "reachable_states", "sem_bounded", "size", "sl_equal", "sl_value",
-    "solve", "step", "to_dot", "to_normal_form", "transitions", "unfold",
-    "unfold_as_term", "word_sync",
+    "Term", "TermSyntaxError", "UnaryLang", "UnknownLetterError", "Zero",
+    "build_system", "canonical_atom", "classify", "cm_dot", "cm_plus",
+    "cm_star", "cm_sync", "derive", "equiv", "eval_cm", "format_system",
+    "format_word", "h_free", "is_sl_term", "lang_concat", "lang_h",
+    "lang_star", "lang_sync", "lang_union", "letters", "member",
+    "model_leq", "nonempty_subsets", "normalize_sl", "nullable",
+    "parse_symset", "parse_term", "parse_term_file", "parse_word",
+    "pi_lang", "pi_word", "print_term", "reachable_states", "sem_bounded",
+    "size", "sl_equal", "sl_value", "solve", "step", "to_dot",
+    "to_normal_form", "transitions", "unfold", "unfold_as_term",
+    "word_sync",
 ]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success (or "equivalent" / "is a member"), 1 for a
 negative verdict or a failed property suite, 2 for usage, syntax or
-resource errors. A term nested too deeply for Python's recursion limit,
-or a call that runs out of memory, is a resource error.
+resource errors, and 141 when the reader of the output closed it. A term
+nested too deeply for Python's recursion limit, or a call that runs out of
+memory, is a resource error.
 """
 
 from __future__ import annotations
@@ -11,15 +12,17 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .checks import SUITES
 from .countermodel import eval_cm
-from .derivatives import build_automaton, to_dot
 from .derivatives import member as word_member
+from .derivatives import nullable, reachable_states, to_dot, transitions
 from .equivalence import DEFAULT_PAIR_CAP, StateLimitError, equiv
 from .language import format_word, parse_word
 from .normalform import build_system, format_system, solve
+from .semilattice import SymSet
 from .syntax import parse_term, parse_term_file, print_term
 
 
@@ -60,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common], help="decide language equivalence")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=int, default=DEFAULT_PAIR_CAP, metavar="N",
-                   help="state-pair cap for the equivalence check")
+    p.add_argument("--cap", type=_at_least_one, default=DEFAULT_PAIR_CAP, metavar="N",
+                   help="state-pair cap for the equivalence check, at least 1")
 
     p = sub.add_parser("nf", parents=[common], help="print an equivalent normal form")
     p.add_argument("term")
@@ -77,8 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run a property suite")
     p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--bound", type=int, default=4, metavar="N",
-                   help="word length bound for the bounded-semantics suites")
+    p.add_argument("--bound", type=int, default=None, metavar="N",
+                   help="word length bound for the bounded-semantics suites "
+                        "(default: per suite)")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
     p.add_argument("--iters", type=_at_least_one, default=None, metavar="N",
                    help="instances per property, at least 1 (default: per suite)")
@@ -151,24 +155,25 @@ def _cmd_nf(args) -> int:
 
 def _cmd_automaton(args) -> int:
     term = parse_term(args.term, args.alphabet)
-    automaton = build_automaton(term)
-    transition_count = sum(len(ts) for ts in automaton.transitions.values())
+    states = reachable_states(term)
+    accepting = sum(map(nullable, states))
+    transition_count = sum(len(ts) for q in states for ts in transitions(q).values())
     payload = {
         "command": "automaton",
         "term": print_term(term),
-        "states": len(automaton.states),
-        "accepting": len(automaton.accepting),
+        "states": len(states),
+        "accepting": accepting,
         "transitions": transition_count,
         "dot": args.dot,
     }
     lines = [
-        "states: %d" % len(automaton.states),
-        "accepting: %d" % len(automaton.accepting),
+        "states: %d" % len(states),
+        "accepting: %d" % accepting,
         "transitions: %d" % transition_count,
     ]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(automaton))
+            handle.write(to_dot(term))
         lines.append("wrote %s" % args.dot)
     _emit(args, payload, lines)
     return 0
@@ -182,12 +187,16 @@ def _cmd_eval_cm(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    suite = SUITES[args.suite]
+def _suite_options(args) -> dict:
+    """The suite flags given on the command line, by parameter name."""
     options = {"iters": args.iters, "alphabet": args.alphabet, "bound": args.bound}
-    accepted = inspect.signature(suite).parameters
-    results = suite(args.seed, **{name: value for name, value in options.items()
-                                  if value is not None and name in accepted})
+    return {name: value for name, value in options.items() if value is not None}
+
+
+def _cmd_check(args) -> int:
+    if args.alphabet is not None:
+        SymSet(args.alphabet)
+    results = SUITES[args.suite](args.seed, **_suite_options(args))
     lines = []
     for r in results:
         lines.append(r.line())
@@ -221,9 +230,24 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check":
+        accepted = inspect.signature(SUITES[args.suite]).parameters
+        unread = ["--" + name for name in _suite_options(args) if name not in accepted]
+        if unread:
+            parser.error("unrecognized arguments: %s (the %s suite does not read them)"
+                         % (" ".join(unread), args.suite))
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as ``head`` does): stop quietly, with the
+        # status a shell reports for SIGPIPE, and send the output still
+        # buffered to the null device so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, StateLimitError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

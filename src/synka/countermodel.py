@@ -343,17 +343,11 @@ class HTermError(ValueError):
     """Raised when a term containing H is evaluated in the model."""
 
 
-class ValuationError(ValueError):
-    """Raised when a letter is mapped outside the model's semilattice."""
-
-
-def eval_cm(
-    term: Term, valuation: dict[str, ModelElement] | None = None
-) -> ModelElement:
+def eval_cm(term: Term) -> ModelElement:
     """Interpret an H-free term in the model.
 
-    Every letter must denote the model's only semilattice element, the
-    generator ``{1}``; ``valuation`` may spell that out explicitly.
+    Every letter denotes the model's only semilattice element, the
+    generator ``{1}``.
 
     Each distinct subterm is evaluated once per call: terms are interned,
     so equal subterms are one node with one memo entry. The walk uses no
@@ -362,20 +356,13 @@ def eval_cm(
     leftmost-outermost H, found by descending into the first operand that
     is not H-free, before anything is evaluated.
     """
-    generator = UnaryLang.generator()
-    if valuation is not None:
-        for letter, value in valuation.items():
-            if value != generator:
-                raise ValuationError(
-                    "letter %r must be interpreted as the generator, got %s" % (letter, value)
-                )
-
     node = term
     while not node._h_free:
         if isinstance(node, H):
             raise HTermError("the model does not interpret H: %s" % node)
         node = next(c for c in _operands(node) if not c._h_free)
 
+    generator = UnaryLang.generator()
     memo: dict[Term, ModelElement] = {}
     for t in postorder(term):
         cls = type(t)

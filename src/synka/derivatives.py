@@ -6,23 +6,25 @@ the node, from each symbol set the term can read to its continuation terms
 (the linear forms of Antimirov, "Partial derivatives of regular expressions
 and finite automaton constructions", 1996). It is the only function that
 encodes the derivative rules: ``derive``, the determinized ``step``, word
-``member``ship, ``unfold``, the automaton, equivalence and normal forms all
-read its tables.
-``reachable_states`` is the closure of a term under ``transitions``: the
-states that automata and linear systems are built over. Together they
-present a term as a state of a nondeterministic automaton whose symbols
-are nonempty letter sets.
+``member``ship, ``unfold``, the DOT rendering, equivalence and normal forms
+all read its tables.
+``reachable_states`` is the closure of a term under ``transitions``, sorted
+by printed form. Together the three present a term as the initial state of
+a nondeterministic automaton whose symbols are nonempty letter sets: its
+states are ``reachable_states``, its accepting states the ``nullable``
+ones and its edges the ``transitions`` tables. No other record of that
+automaton is kept; ``to_dot``, the linear systems of ``normalform`` and
+the ``automaton`` command read the three functions directly.
 
 A table lists only the symbols its term can read, and each of them is a
 subset of the term's letters: an atom reads its own letter, and a product
-reads unions of symbols its operands read. Nothing, the automaton and its
-DOT rendering included, walks the full set of nonempty letter subsets.
+reads unions of symbols its operands read. Nothing, the DOT rendering
+included, walks the full set of nonempty letter subsets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .language import SyncWord
@@ -114,9 +116,11 @@ def member(word: SyncWord, term: Term) -> bool:
     return any(nullable(state) for state in current)
 
 
-def reachable_states(term: Term) -> frozenset[Term]:
+def reachable_states(term: Term) -> tuple[Term, ...]:
     """``term`` plus every term its transitions reach, in any number of
-    steps. The closure is found with an explicit stack."""
+    steps, sorted by printed form: the states of the term's automaton and
+    linear system, in the one order both are read in. The closure is found
+    with an explicit stack."""
     seen = {term}
     stack = [term]
     while stack:
@@ -125,38 +129,7 @@ def reachable_states(term: Term) -> frozenset[Term]:
                 if target not in seen:
                     seen.add(target)
                     stack.append(target)
-    return frozenset(seen)
-
-
-@dataclass(frozen=True)
-class Automaton:
-    """The syntactic automaton of a term over its reachable states, which
-    are interned terms; ``transitions`` holds each state's edges in order."""
-
-    initial: Term
-    states: tuple[Term, ...]
-    accepting: frozenset[Term]
-    transitions: dict[tuple[Term, SymSet], frozenset[Term]]
-
-
-def build_automaton(term: Term) -> Automaton:
-    """Build the automaton whose states are ``reachable_states(term)``,
-    sorted by printed form, with the edges of each state's transition
-    table."""
-    states = tuple(sorted(reachable_states(term), key=str))
-    edges: dict[tuple[Term, SymSet], frozenset[Term]] = {}
-    for state in states:
-        table = transitions(state)
-        for symbol in sorted(table):
-            edges[(state, symbol)] = table[symbol]
-    accepting = frozenset(s for s in states if nullable(s))
-    return Automaton(initial=term, states=states, accepting=accepting, transitions=edges)
-
-
-def accepts(automaton: Automaton, word: SyncWord) -> bool:
-    """Standard nondeterministic acceptance from the automaton's initial
-    state."""
-    return member(word, automaton.initial)
+    return tuple(sorted(seen, key=str))
 
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
@@ -183,23 +156,27 @@ def unfold_as_term(term: Term) -> Term:
     return acc
 
 
-def to_dot(automaton: Automaton) -> str:
-    """Render an automaton in Graphviz DOT format. Accepting states are
-    double-circled; edges carry symbol-set labels."""
+def to_dot(term: Term) -> str:
+    """Render the automaton of ``term`` in Graphviz DOT format: one node
+    per reachable state, accepting states double-circled, and one edge per
+    transition, labelled with its symbol set."""
 
     def quote(text: str) -> str:
         return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
+    states = reachable_states(term)
+    order = {state: i for i, state in enumerate(states)}
+    names = [quote(str(state)) for state in states]
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    for state in automaton.states:
-        shape = "doublecircle" if state in automaton.accepting else "circle"
-        lines.append("  %s [shape=%s];" % (quote(str(state)), shape))
-    lines.append("  __start -> %s;" % quote(str(automaton.initial)))
-    for (state, symbol), targets in automaton.transitions.items():
-        for target in sorted(targets, key=str):
-            lines.append(
-                "  %s -> %s [label=%s];"
-                % (quote(str(state)), quote(str(target)), quote(str(symbol)))
-            )
+    for i, state in enumerate(states):
+        shape = "doublecircle" if nullable(state) else "circle"
+        lines.append("  %s [shape=%s];" % (names[i], shape))
+    lines.append("  __start -> %s;" % names[order[term]])
+    for i, state in enumerate(states):
+        table = transitions(state)
+        for symbol in sorted(table):
+            label = quote(str(symbol))
+            for j in sorted(order[target] for target in table[symbol]):
+                lines.append("  %s -> %s [label=%s];" % (names[i], names[j], label))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -62,12 +62,11 @@ def build_system(term: Term) -> LinearSystem:
     """The linear system of a term over the states its transitions reach.
 
     The initial term comes first in the state order; the remaining states
-    are sorted by their printed form. Matrix entries sum canonical atoms in
+    follow in the order of ``reachable_states``, by printed form. Matrix entries sum canonical atoms in
     symbol order and are stored row by row in state order, so equal inputs
     build identical systems.
     """
-    reach = reachable_states(term)
-    states = (term, *sorted((q for q in reach if q != term), key=str))
+    states = (term, *(q for q in reachable_states(term) if q is not term))
     order = {state: i for i, state in enumerate(states)}
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}

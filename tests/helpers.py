@@ -46,7 +46,6 @@ from synka import (
     UnaryLang,
     UnknownLetterError,
     Zero,
-    build_automaton,
     canonical_atom,
     cm_dot,
     cm_plus,
@@ -72,14 +71,12 @@ from synka.terms import LETTERS
 def brute_force_equiv(e, f) -> bool:
     """Language equality by full subset construction on both automata and
     reachability of the product; no union-find, no laziness."""
-    auto_e = build_automaton(e)
-    auto_f = build_automaton(f)
     alphabet = nonempty_subsets(letters(e) | letters(f))
 
-    def step(auto, subset, symbol):
+    def move(subset, symbol):
         out = set()
         for state in subset:
-            out |= auto.transitions.get((state, symbol), frozenset())
+            out |= transitions(state).get(symbol, frozenset())
         return frozenset(out)
 
     start = (frozenset((e,)), frozenset((f,)))
@@ -87,12 +84,12 @@ def brute_force_equiv(e, f) -> bool:
     stack = [start]
     while stack:
         left, right = stack.pop()
-        accept_left = any(q in auto_e.accepting for q in left)
-        accept_right = any(q in auto_f.accepting for q in right)
+        accept_left = any(nullable(q) for q in left)
+        accept_right = any(nullable(q) for q in right)
         if accept_left != accept_right:
             return False
         for symbol in alphabet:
-            pair = (step(auto_e, left, symbol), step(auto_f, right, symbol))
+            pair = (move(left, symbol), move(right, symbol))
             if pair not in seen:
                 seen.add(pair)
                 stack.append(pair)

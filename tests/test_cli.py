@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -203,7 +207,10 @@ def test_check_prints_counterexamples(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["parse", "--cap", "5", "a"], ["equiv", "--seed", "1", "a", "a"],
-                                  ["nf", "--bound", "3", "a"], ["eval-cm", "--iters", "2", "a"]])
+                                  ["nf", "--bound", "3", "a"], ["eval-cm", "--iters", "2", "a"],
+                                  ["check", "axioms", "--bound", "3"],
+                                  ["check", "normalform", "--bound", "3"],
+                                  ["check", "countermodel", "--alphabet", "xyz"]])
 def test_command_rejects_flags_it_does_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -217,3 +224,33 @@ def test_equiv_cap(capsys):
     code, out, err = run(capsys, "equiv", "--cap", "1", "(a+b;a)* & (a+b;a)*", "(a+b;a)*")
     assert (code, out) == (2, "")
     assert "exceeded 1 determinized state pairs" in err
+
+
+def test_equiv_rejects_nonpositive_cap(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["equiv", "--cap", "-1", "a", "b"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "--cap" in captured.err and "at least 1" in captured.err
+
+
+def test_check_rejects_empty_alphabet(capsys):
+    code, out, err = run(capsys, "check", "axioms", "--alphabet", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # The system of the six-fold product prints about 466 KB, more than a
+    # pipe holds, so the command is still writing when the reader leaves.
+    term = " & ".join(["(a+b;a)*"] * 6)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "synka.cli", "nf", "--system", term],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")

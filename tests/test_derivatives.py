@@ -14,10 +14,9 @@ from synka import (
     SymSet,
     Sync,
     Zero,
-    accepts,
-    build_automaton,
     derive,
     letters,
+    member,
     nonempty_subsets,
     nullable,
     parse_term,
@@ -25,6 +24,7 @@ from synka import (
     reachable_states,
     sem_bounded,
     to_dot,
+    transitions,
     unfold,
     unfold_as_term,
 )
@@ -97,7 +97,7 @@ def test_reach_closed_under_derivatives():
     for _ in range(150):
         term = random_term(rng, "ab", rng.randint(1, 9))
         reach = reachable_terms(term)
-        assert reachable_states(term) <= reach | {term}
+        assert set(reachable_states(term)) <= reach | {term}
         symbols = nonempty_subsets(letters(term))
         for symbol in symbols:
             assert derive(term, symbol) <= reach
@@ -108,7 +108,15 @@ def test_reach_closed_under_derivatives():
 
 def test_build_automaton_lists_only_reached_states():
     # The syntactic over-approximation lists 31 states here.
-    assert len(build_automaton(parse_term("(a+b;a)* & (a+b;a)*")).states) == 7
+    assert len(reachable_states(parse_term("(a+b;a)* & (a+b;a)*"))) == 7
+
+
+def test_reachable_states_sorted_by_printed_form():
+    rng = random.Random(7)
+    for _ in range(100):
+        states = reachable_states(random_term(rng, "ab", rng.randint(1, 9)))
+        assert list(states) == sorted(states, key=str)
+        assert len(set(states)) == len(states)
 
 
 def test_reach_finite_on_large_terms():
@@ -119,41 +127,38 @@ def test_reach_finite_on_large_terms():
 
 
 def test_build_automaton_zero():
-    auto = build_automaton(Zero())
-    assert auto.states == (Zero(),)
-    assert auto.transitions == {}
-    assert auto.accepting == frozenset()
+    assert reachable_states(Zero()) == (Zero(),)
+    assert transitions(Zero()) == {}
+    assert not nullable(Zero())
 
 
 def test_build_automaton_letter():
-    auto = build_automaton(Atom("a"))
-    assert set(auto.states) == {Atom("a"), One()}
-    assert auto.transitions == {(Atom("a"), SymSet("a")): frozenset((One(),))}
-    assert auto.accepting == frozenset((One(),))
+    assert reachable_states(Atom("a")) == (One(), Atom("a"))
+    assert transitions(Atom("a")) == {SymSet("a"): frozenset((One(),))}
+    assert transitions(One()) == {}
+    assert nullable(One()) and not nullable(Atom("a"))
 
 
 def test_automaton_state_bound():
     term = parse_term("(a+b)* & (a+b)*")
-    auto = build_automaton(term)
-    assert len(auto.states) <= len(reachable_terms(term)) + 1
+    assert len(reachable_states(term)) <= len(reachable_terms(term)) + 1
 
 
 def test_accepts_examples():
-    assert accepts(build_automaton(parse_term("a & b")), parse_word("{a,b}"))
-    assert not accepts(build_automaton(Atom("a")), ())
-    assert accepts(build_automaton(parse_term("a* & a*")), parse_word("{a}{a}{a}"))
-    # Symbols outside the automaton's alphabet reject immediately.
-    assert not accepts(build_automaton(Atom("a")), parse_word("{b}"))
+    assert member(parse_word("{a,b}"), parse_term("a & b"))
+    assert not member((), Atom("a"))
+    assert member(parse_word("{a}{a}{a}"), parse_term("a* & a*"))
+    # Symbols the term cannot read reject immediately.
+    assert not member(parse_word("{b}"), Atom("a"))
 
 
 def test_acceptance_matches_bounded_semantics():
     rng = random.Random(8)
     for _ in range(120):
         term = random_term(rng, "ab", rng.randint(1, 10))
-        auto = build_automaton(term)
         expected = sem_bounded(term, 3)
         for symbols in _all_words("ab", 3):
-            assert accepts(auto, symbols) == (symbols in expected)
+            assert member(symbols, term) == (symbols in expected)
 
 
 def _all_words(alphabet, bound):
@@ -186,8 +191,22 @@ def test_unfold_term_shape():
 
 
 def test_to_dot():
-    dot = to_dot(build_automaton(Atom("a")))
+    dot = to_dot(Atom("a"))
     assert dot.startswith("digraph {")
     assert '"a" -> "1" [label="{a}"];' in dot
     assert '"1" [shape=doublecircle];' in dot
     assert '"a" [shape=circle];' in dot
+    # States by printed form, then each state's edges by symbol and target.
+    assert to_dot(parse_term("a + a;b")).splitlines() == [
+        "digraph {",
+        "  rankdir=LR;",
+        '  __start [shape=point, label=""];',
+        '  "1" [shape=doublecircle];',
+        '  "1 ; b" [shape=circle];',
+        '  "a + a ; b" [shape=circle];',
+        '  __start -> "a + a ; b";',
+        '  "1 ; b" -> "1" [label="{b}"];',
+        '  "a + a ; b" -> "1" [label="{a}"];',
+        '  "a + a ; b" -> "1 ; b" [label="{a}"];',
+        "}",
+    ]
