@@ -74,7 +74,8 @@ from .syntax import (
     parse_term_file,
     print_term,
 )
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, h_free, letters, size
+from .terms import (Atom, H, One, Ops, Plus, Seq, Star, Sync, Term, Zero, evaluate, h_free,
+                    letters, size)
 
 __version__ = "0.1.0"
 
@@ -82,10 +83,10 @@ __all__ = [
     "Atom", "BoundMismatchError", "BoundedLang", "DAGGER",
     "DEFAULT_PAIR_CAP", "Dagger", "EquivResult", "Fragments", "H",
     "HTermError", "LinearSystem", "ModelElement", "NotGuardedError", "One",
-    "Plus", "Seq", "Star", "StateLimitError", "SymSet", "Sync", "SyncWord",
+    "Ops", "Plus", "Seq", "Star", "StateLimitError", "SymSet", "Sync", "SyncWord",
     "Term", "TermSyntaxError", "UnaryLang", "UnknownLetterError", "Zero",
     "build_system", "canonical_atom", "classify", "cm_dot", "cm_plus",
-    "cm_star", "cm_sync", "derive", "equiv", "eval_cm", "format_system",
+    "cm_star", "cm_sync", "derive", "equiv", "eval_cm", "evaluate", "format_system",
     "format_word", "h_free", "is_sl_term", "lang_concat", "lang_h",
     "lang_star", "lang_sync", "lang_union", "letters", "member",
     "model_leq", "nonempty_subsets", "normalize_sl", "nullable",

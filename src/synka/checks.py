@@ -5,10 +5,14 @@ seeded by the caller, exercises one family of laws, and reports per-law
 run and failure counts. Identical seeds give identical reports.
 
 Every instance of a law is counted by ``CheckResult.record``, which also
-keeps a description of the first three that fail. The equation schemas
-run through one loop, ``_equations``: over terms compared by ``equiv`` in
-the ``axioms`` suite, and over model elements compared by ``==`` in the
-``countermodel`` suite; ``_implication`` checks the fixpoint rules.
+keeps a description of the first three that fail. An equation schema is
+a pair of terms over variable letters, and ``terms.evaluate`` reads both
+sides in a model given as an ``Ops`` record with the variables' values.
+The schemas run through one loop, ``_equations``: in ``TERM_OPS`` over
+terms compared by ``equiv`` in the ``axioms`` suite, and in the
+countermodel's ``MODEL_OPS`` over model elements compared by ``==`` in
+the ``countermodel`` suite. ``_fixpoint_rules`` checks the least-fixpoint
+rules through the same ``Ops`` records, and ``_implication`` each rule.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ from typing import Callable
 
 from .countermodel import (
     DAGGER,
+    MODEL_OPS,
     ModelElement,
     UnaryLang,
-    cm_dot,
-    cm_plus,
-    cm_star,
     cm_sync,
     eval_cm,
     model_leq,
@@ -34,8 +36,9 @@ from .equivalence import equiv
 from .language import sem_bounded
 from .normalform import build_system, solve, to_normal_form
 from .semilattice import nonempty_subsets
-from .syntax import classify
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
+from .syntax import classify, parse_term
+from .terms import (TERM_OPS, Atom, H, One, Ops, Plus, Seq, Star, Sync, Term, Zero, evaluate,
+                    letters)
 
 
 @dataclass
@@ -122,26 +125,6 @@ def random_sl_term(rng: random.Random, alphabet: str = "ab", size: int = 3) -> T
     )
 
 
-def random_context(
-    rng: random.Random, alphabet: str = "ab", size: int = 4
-) -> Callable[[Term], Term]:
-    """A random one-hole context, returned as a term-to-term function."""
-    if size <= 1:
-        return lambda hole: hole
-    op = rng.choice(["plus", "seq", "sync", "star", "h"])
-    if op in ("star", "h"):
-        inner = random_context(rng, alphabet, size - 1)
-        wrap = Star if op == "star" else H
-        return lambda hole: wrap(inner(hole))
-    split = rng.randint(1, max(1, size - 2))
-    other = random_term(rng, alphabet, split)
-    inner = random_context(rng, alphabet, size - 1 - split if size - 1 - split >= 1 else 1)
-    node = {"plus": Plus, "seq": Seq, "sync": Sync}[op]
-    if rng.random() < 0.5:
-        return lambda hole: node(inner(hole), other)
-    return lambda hole: node(other, inner(hole))
-
-
 def guarded(term: Term, alphabet: str = "ab") -> Term:
     """Force a term not to accept the empty word by prefixing a letter
     when needed."""
@@ -154,106 +137,70 @@ def guarded(term: Term, alphabet: str = "ab") -> Term:
 # Axiom schemas, shared between the term algebra and the model
 
 @dataclass(frozen=True)
-class Ops:
-    """The operator signature an equation schema is built over."""
-
-    plus: Callable
-    dot: Callable
-    sync: Callable
-    star: Callable
-    zero: object
-    one: object
-    h: Callable | None = None
-
-
-TERM_OPS = Ops(plus=Plus, dot=Seq, sync=Sync, star=Star, zero=Zero(), one=One(), h=H)
-MODEL_OPS = Ops(
-    plus=cm_plus,
-    dot=cm_dot,
-    sync=cm_sync,
-    star=cm_star,
-    zero=UnaryLang.empty(),
-    one=UnaryLang.epsilon(),
-)
-
-
-@dataclass(frozen=True)
 class EquationSchema:
-    """A named equation over ``arity`` general variables and ``sl_arity``
-    semilattice variables. ``ska`` marks membership in the original axiom
-    set (those are also the laws checked on the model)."""
+    """A named equation between two terms over the general variables
+    ``x``, ``y``, ``z`` and the semilattice variables ``s``, ``t``. ``ska``
+    marks membership in the original axiom set (those are also the laws
+    checked on the model)."""
 
     name: str
-    arity: int
-    sl_arity: int
     ska: bool
-    build: Callable
+    lhs: Term
+    rhs: Term
+
+    def _variables(self, names: str) -> str:
+        """The letters among ``names`` that either side uses, in order."""
+        used = letters(self.lhs) | letters(self.rhs)
+        return "".join(name for name in names if name in used)
+
+    @property
+    def arity(self) -> int:
+        return len(self._variables("xyz"))
+
+    @property
+    def sl_arity(self) -> int:
+        return len(self._variables("st"))
+
+    def build(self, ops: Ops, variables: list, sl_variables: list) -> tuple[object, object]:
+        """Both sides in the model ``ops``, with ``variables`` for the
+        general and ``sl_variables`` for the semilattice variables, each
+        in alphabetical order."""
+        value = dict(zip(self._variables("xyz") + self._variables("st"),
+                         [*variables, *sl_variables])).__getitem__
+        return evaluate(self.lhs, ops, value), evaluate(self.rhs, ops, value)
 
 
-EQUATIONS: tuple[EquationSchema, ...] = (
-    EquationSchema("plus-assoc", 3, 0, True,
-                   lambda o, v, s: (o.plus(v[0], o.plus(v[1], v[2])),
-                                    o.plus(o.plus(v[0], v[1]), v[2]))),
-    EquationSchema("plus-comm", 2, 0, True,
-                   lambda o, v, s: (o.plus(v[0], v[1]), o.plus(v[1], v[0]))),
-    EquationSchema("plus-zero", 1, 0, True,
-                   lambda o, v, s: (o.plus(v[0], o.zero), v[0])),
-    EquationSchema("plus-idem", 1, 0, True,
-                   lambda o, v, s: (o.plus(v[0], v[0]), v[0])),
-    EquationSchema("dot-one-right", 1, 0, True,
-                   lambda o, v, s: (o.dot(v[0], o.one), v[0])),
-    EquationSchema("dot-one-left", 1, 0, True,
-                   lambda o, v, s: (o.dot(o.one, v[0]), v[0])),
-    EquationSchema("dot-zero-right", 1, 0, True,
-                   lambda o, v, s: (o.dot(v[0], o.zero), o.zero)),
-    EquationSchema("dot-zero-left", 1, 0, True,
-                   lambda o, v, s: (o.dot(o.zero, v[0]), o.zero)),
-    EquationSchema("dot-assoc", 3, 0, True,
-                   lambda o, v, s: (o.dot(v[0], o.dot(v[1], v[2])),
-                                    o.dot(o.dot(v[0], v[1]), v[2]))),
-    EquationSchema("star-unfold-left", 1, 0, True,
-                   lambda o, v, s: (o.star(v[0]), o.plus(o.one, o.dot(v[0], o.star(v[0]))))),
-    EquationSchema("star-unfold-right", 1, 0, True,
-                   lambda o, v, s: (o.star(v[0]), o.plus(o.one, o.dot(o.star(v[0]), v[0])))),
-    EquationSchema("dot-distr-left", 3, 0, True,
-                   lambda o, v, s: (o.dot(v[0], o.plus(v[1], v[2])),
-                                    o.plus(o.dot(v[0], v[1]), o.dot(v[0], v[2])))),
-    EquationSchema("dot-distr-right", 3, 0, True,
-                   lambda o, v, s: (o.dot(o.plus(v[0], v[1]), v[2]),
-                                    o.plus(o.dot(v[0], v[2]), o.dot(v[1], v[2])))),
-    EquationSchema("sync-distr", 3, 0, True,
-                   lambda o, v, s: (o.sync(v[0], o.plus(v[1], v[2])),
-                                    o.plus(o.sync(v[0], v[1]), o.sync(v[0], v[2])))),
-    EquationSchema("sync-assoc", 3, 0, True,
-                   lambda o, v, s: (o.sync(v[0], o.sync(v[1], v[2])),
-                                    o.sync(o.sync(v[0], v[1]), v[2]))),
-    EquationSchema("sync-comm", 2, 0, True,
-                   lambda o, v, s: (o.sync(v[0], v[1]), o.sync(v[1], v[0]))),
-    EquationSchema("sync-zero", 1, 0, True,
-                   lambda o, v, s: (o.sync(v[0], o.zero), o.zero)),
-    EquationSchema("sync-one", 1, 0, True,
-                   lambda o, v, s: (o.sync(v[0], o.one), v[0])),
-    EquationSchema("sl-idem", 0, 1, True,
-                   lambda o, v, s: (o.sync(s[0], s[0]), s[0])),
-    EquationSchema("synchrony", 2, 2, True,
-                   lambda o, v, s: (o.sync(o.dot(s[0], v[0]), o.dot(s[1], v[1])),
-                                    o.dot(o.sync(s[0], s[1]), o.sync(v[0], v[1])))),
-    EquationSchema("loop-tightening", 1, 0, False,
-                   lambda o, v, s: (o.star(o.plus(v[0], o.one)), o.star(v[0]))),
-    EquationSchema("h-zero", 0, 0, False,
-                   lambda o, v, s: (o.h(o.zero), o.zero)),
-    EquationSchema("h-one", 0, 0, False,
-                   lambda o, v, s: (o.h(o.one), o.one)),
-    EquationSchema("h-plus", 2, 0, False,
-                   lambda o, v, s: (o.h(o.plus(v[0], v[1])), o.plus(o.h(v[0]), o.h(v[1])))),
-    EquationSchema("h-dot", 2, 0, False,
-                   lambda o, v, s: (o.h(o.dot(v[0], v[1])), o.dot(o.h(v[0]), o.h(v[1])))),
-    EquationSchema("h-star", 1, 0, False,
-                   lambda o, v, s: (o.h(o.star(v[0])), o.star(o.h(v[0])))),
-    EquationSchema("h-sync", 2, 0, False,
-                   lambda o, v, s: (o.h(o.sync(v[0], v[1])), o.sync(o.h(v[0]), o.h(v[1])))),
-    EquationSchema("h-atom", 0, 1, False,
-                   lambda o, v, s: (o.h(s[0]), o.zero)),
+EQUATIONS: tuple[EquationSchema, ...] = tuple(
+    EquationSchema(name, ska, parse_term(lhs), parse_term(rhs)) for name, ska, lhs, rhs in (
+        ("plus-assoc", True, "x + (y + z)", "x + y + z"),
+        ("plus-comm", True, "x + y", "y + x"),
+        ("plus-zero", True, "x + 0", "x"),
+        ("plus-idem", True, "x + x", "x"),
+        ("dot-one-right", True, "x ; 1", "x"),
+        ("dot-one-left", True, "1 ; x", "x"),
+        ("dot-zero-right", True, "x ; 0", "0"),
+        ("dot-zero-left", True, "0 ; x", "0"),
+        ("dot-assoc", True, "x ; (y ; z)", "x ; y ; z"),
+        ("star-unfold-left", True, "x*", "1 + x ; x*"),
+        ("star-unfold-right", True, "x*", "1 + x* ; x"),
+        ("dot-distr-left", True, "x ; (y + z)", "x ; y + x ; z"),
+        ("dot-distr-right", True, "(x + y) ; z", "x ; z + y ; z"),
+        ("sync-distr", True, "x & (y + z)", "x & y + x & z"),
+        ("sync-assoc", True, "x & (y & z)", "x & y & z"),
+        ("sync-comm", True, "x & y", "y & x"),
+        ("sync-zero", True, "x & 0", "0"),
+        ("sync-one", True, "x & 1", "x"),
+        ("sl-idem", True, "s & s", "s"),
+        ("synchrony", True, "s ; x & t ; y", "(s & t) ; (x & y)"),
+        ("loop-tightening", False, "(x + 1)*", "x*"),
+        ("h-zero", False, "H(0)", "0"),
+        ("h-one", False, "H(1)", "1"),
+        ("h-plus", False, "H(x + y)", "H(x) + H(y)"),
+        ("h-dot", False, "H(x ; y)", "H(x) ; H(y)"),
+        ("h-star", False, "H(x*)", "H(x)*"),
+        ("h-sync", False, "H(x & y)", "H(x) & H(y)"),
+        ("h-atom", False, "H(s)", "0"),
+    )
 )
 
 SKA_EQUATIONS = tuple(s for s in EQUATIONS if s.ska)
@@ -284,17 +231,44 @@ def _equations(prefix: str, schemas: tuple[EquationSchema, ...], iters: int, ops
 def _implication(name: str, iters: int, draw: Callable[[int], dict],
                  premise: Callable[..., bool], conclusion: Callable[..., bool]) -> CheckResult:
     """Check ``premise => conclusion`` on ``iters`` instances; ``draw(i)``
-    gives instance ``i`` as named values, passed to both by name."""
+    gives instance ``i`` as named values, passed to both in order."""
     result = CheckResult(name)
     held = 0
     for i in range(iters):
         values = draw(i)
-        hypothesis = premise(**values)
+        hypothesis = premise(*values.values())
         held += hypothesis
-        result.record(not hypothesis or conclusion(**values),
+        result.record(not hypothesis or conclusion(*values.values()),
                       lambda: " ".join("%s=%s" % item for item in values.items()))
     result.note = "hypothesis held %d/%d" % (held, iters)
     return result
+
+
+def _fixpoint_rules(prefix: str, names: str, iters: int, ops: Ops, draw: Callable[[], object],
+                    leq: Callable[[object, object], bool]) -> list[CheckResult]:
+    """The least-fixpoint rules in the model ``ops``, ordered by ``leq``:
+    ``e + f ; g <= g`` implies ``f* ; e <= g``, and ``e + f ; g <= f``
+    implies ``e ; g* <= f``. On even instances the variable right of
+    ``<=`` is the least solution, so the premise holds. ``names`` names
+    ``e, f, g`` in the reports."""
+    plus, dot, star = ops.plus, ops.dot, ops.star
+
+    def draw_left(i: int) -> dict:
+        e, f = draw(), draw()
+        return dict(zip(names, (e, f, dot(star(f), e) if i % 2 == 0 else draw())))
+
+    def draw_right(i: int) -> dict:
+        e, g = draw(), draw()
+        return dict(zip(names, (e, dot(e, star(g)) if i % 2 == 0 else draw(), g)))
+
+    return [
+        _implication(prefix + "lfp-left", iters, draw_left,
+                     lambda e, f, g: leq(plus(e, dot(f, g)), g),
+                     lambda e, f, g: leq(dot(star(f), e), g)),
+        _implication(prefix + "lfp-right", iters, draw_right,
+                     lambda e, f, g: leq(plus(e, dot(f, g)), f),
+                     lambda e, f, g: leq(dot(e, star(g)), f)),
+    ]
 
 
 def check_axioms(seed: int, iters: int = 100, alphabet: str = "ab") -> list[CheckResult]:
@@ -314,28 +288,12 @@ def check_axioms(seed: int, iters: int = 100, alphabet: str = "ab") -> list[Chec
     def leq(x: Term, y: Term) -> bool:
         return same(Plus(x, y), y)
 
-    # Least fixpoint rules: half the instances are constructed so the
-    # hypothesis holds, the rest probe random triples.
-    def draw_lfp_left(i: int) -> dict[str, Term]:
-        e, f = term(), term()
-        return {"e": e, "f": f, "g": Seq(Star(f), e) if i % 2 == 0 else term()}
-
-    def draw_lfp_right(i: int) -> dict[str, Term]:
-        e, g = term(), term()
-        return {"e": e, "f": Seq(e, Star(g)) if i % 2 == 0 else term(), "g": g}
+    results.extend(_fixpoint_rules("implication ", "efg", iters, TERM_OPS, term, leq))
 
     def draw_unique(i: int) -> dict[str, Term]:
         e, f = term(), guarded(term(), alphabet)
         return {"e": e, "f": f, "g": Seq(Star(f), e) if i % 2 == 0 else term()}
 
-    results.append(_implication(
-        "implication lfp-left", iters, draw_lfp_left,
-        lambda e, f, g: leq(Plus(e, Seq(f, g)), g),
-        lambda e, f, g: leq(Seq(Star(f), e), g)))
-    results.append(_implication(
-        "implication lfp-right", iters, draw_lfp_right,
-        lambda e, f, g: leq(Plus(e, Seq(f, g)), f),
-        lambda e, f, g: leq(Seq(e, Star(g)), f)))
     results.append(_implication(
         "implication unique-fixpoint", iters, draw_unique,
         lambda e, f, g: same(H(f), Zero()) and same(Plus(e, Seq(f, g)), g),
@@ -448,22 +406,8 @@ def check_countermodel(seed: int, iters: int = 300) -> list[CheckResult]:
     results = _equations("model axiom ", SKA_EQUATIONS, iters, MODEL_OPS,
                          lambda: rng.choice(pool), lambda: generator, operator.eq)
 
-    def draw_lfp_left(i: int) -> dict[str, ModelElement]:
-        k, l = rng.choice(pool), rng.choice(pool)
-        return {"k": k, "l": l, "j": cm_dot(cm_star(l), k) if i % 2 == 0 else rng.choice(pool)}
-
-    def draw_lfp_right(i: int) -> dict[str, ModelElement]:
-        k, j = rng.choice(pool), rng.choice(pool)
-        return {"k": k, "l": cm_dot(k, cm_star(j)) if i % 2 == 0 else rng.choice(pool), "j": j}
-
-    results.append(_implication(
-        "model implication lfp-left", iters, draw_lfp_left,
-        lambda k, l, j: model_leq(cm_plus(k, cm_dot(l, j)), j),
-        lambda k, l, j: model_leq(cm_dot(cm_star(l), k), j)))
-    results.append(_implication(
-        "model implication lfp-right", iters, draw_lfp_right,
-        lambda k, l, j: model_leq(cm_plus(k, cm_dot(l, j)), l),
-        lambda k, l, j: model_leq(cm_dot(k, cm_star(j)), l)))
+    results.extend(_fixpoint_rules("model implication ", "klj", iters, MODEL_OPS,
+                                   lambda: rng.choice(pool), model_leq))
 
     finite = [x for x in pool if isinstance(x, UnaryLang) and not x.is_infinite and not x.is_empty]
     infinite = [x for x in pool if isinstance(x, UnaryLang) and x.is_infinite]

@@ -18,9 +18,10 @@ period and two ints of bits (the eventually periodic form of Chrobak,
 "Finite automata and unary languages", 1986), and each operator works on
 the bits with shifts, ORs and ANDs, never one natural at a time.
 
-``eval_cm`` interprets a term bottom-up over ``terms.postorder``, not
-Python recursion, and memoizes within one call, so each distinct subterm of
-a term that shares subterms (as solved normal forms do) is evaluated once.
+``MODEL_OPS`` is the model as a ``terms.Ops`` record, and ``eval_cm`` is
+one ``terms.evaluate`` call with it, so each distinct subterm of a term
+that shares subterms (as solved normal forms do) is evaluated once, with
+no Python recursion.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from collections.abc import Iterable
 from typing import Union
 
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, _operands, postorder
+from .terms import H, Ops, Term, _operands, evaluate
 
 
 class Dagger:
@@ -331,7 +332,9 @@ def cm_star(k: ModelElement) -> ModelElement:
     return k.star_closure()
 
 
-_CM_OPS = {Plus: cm_plus, Seq: cm_dot, Sync: cm_sync}
+MODEL_OPS = Ops(plus=cm_plus, dot=cm_dot, sync=cm_sync, star=cm_star, zero=_EMPTY,
+                one=UnaryLang.epsilon())
+_GENERATOR = UnaryLang.generator()
 
 
 def model_leq(k: ModelElement, l: ModelElement) -> bool:
@@ -349,8 +352,8 @@ def eval_cm(term: Term) -> ModelElement:
     Every letter denotes the model's only semilattice element, the
     generator ``{1}``.
 
-    Each distinct subterm is evaluated once per call: terms are interned,
-    so equal subterms are one node with one memo entry. The walk uses no
+    Each distinct subterm is evaluated once per call, by ``evaluate``:
+    terms are interned, so equal subterms are one node. The walk uses no
     Python recursion, so the recursion limit does not bound the term's
     depth. A term containing H raises ``HTermError`` naming its
     leftmost-outermost H, found by descending into the first operand that
@@ -362,18 +365,4 @@ def eval_cm(term: Term) -> ModelElement:
             raise HTermError("the model does not interpret H: %s" % node)
         node = next(c for c in _operands(node) if not c._h_free)
 
-    generator = UnaryLang.generator()
-    memo: dict[Term, ModelElement] = {}
-    for t in postorder(term):
-        cls = type(t)
-        if cls is Zero:
-            memo[t] = _EMPTY
-        elif cls is One:
-            memo[t] = UnaryLang.epsilon()
-        elif cls is Atom:
-            memo[t] = generator
-        elif cls is Star:
-            memo[t] = cm_star(memo[t.inner])
-        else:
-            memo[t] = _CM_OPS[cls](memo[t.left], memo[t.right])
-    return memo[term]
+    return evaluate(term, MODEL_OPS, lambda _: _GENERATOR)

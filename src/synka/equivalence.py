@@ -23,7 +23,8 @@ were built on it before are reused.
 
 The witness does not depend on how the states are represented: it is the
 shortlex-least word (shortest, then least symbol by symbol) accepted by
-exactly one side. The queue holds words in shortlex order. The pair
+exactly one side. The queue holds words in shortlex order, each as a
+``(prefix, symbol)`` link, so a push copies nothing. The pair
 reached by a word u is skipped only when it lies in the equivalence
 closure of pairs processed at words v before u; if its sides differed on
 a suffix z, the sides of one such pair would differ on z too, and vz
@@ -104,7 +105,7 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
 
     empty: frozenset[Term] = frozenset()
     start = (frozenset((right_associated(e),)), frozenset((right_associated(f),)))
-    queue: deque[tuple[frozenset[Term], frozenset[Term], SyncWord]] = deque([(*start, ())])
+    queue: deque[tuple[frozenset[Term], frozenset[Term], tuple | None]] = deque([(*start, None)])
     examined = 0
     while queue:
         left, right, word = queue.popleft()
@@ -113,7 +114,11 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
         accept_left, next_left = expand(left)
         accept_right, next_right = expand(right)
         if accept_left != accept_right:
-            return EquivResult(False, word)
+            symbols = []
+            while word is not None:
+                word, symbol = word
+                symbols.append(symbol)
+            return EquivResult(False, tuple(reversed(symbols)))
         uf.union(left, right)
         examined += 1
         if examined > pair_cap:
@@ -122,6 +127,6 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
             )
         for symbol in sorted(next_left.keys() | next_right.keys()):
             queue.append(
-                (next_left.get(symbol, empty), next_right.get(symbol, empty), word + (symbol,))
+                (next_left.get(symbol, empty), next_right.get(symbol, empty), (word, symbol))
             )
     return EquivResult(True, None)

@@ -8,8 +8,9 @@ bound: sequencing never shortens a word, and the synchronous product of
 two words is as long as the longer operand, so no word within the bound
 ever needs an operand word beyond it.
 
-``sem_bounded`` evaluates a term bottom-up over ``terms.postorder``, once
-per distinct subterm.
+``sem_bounded`` is one ``terms.evaluate`` call, with the operators below
+and the constants for its bound as the ``Ops`` record, so each distinct
+subterm is evaluated once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .semilattice import SymSet, canonical_atom, parse_symset
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, postorder
+from .terms import Ops, Term, evaluate
 
 SyncWord = tuple[SymSet, ...]
 
@@ -157,30 +158,17 @@ def lang_h(k: BoundedLang) -> BoundedLang:
     return BoundedLang(k.bound, (w for w in k.words if not w))
 
 
-_LANG_OPS = {Plus: lang_union, Seq: lang_concat, Sync: lang_sync, Star: lang_star, H: lang_h}
-
-
 def sem_bounded(term: Term, bound: int) -> BoundedLang:
     """All words of the language of ``term`` of length at most ``bound``.
 
-    Each distinct subterm is computed once per call, in ``postorder``, so
+    Each distinct subterm is computed once per call, by ``evaluate``, so
     the recursion limit does not bound the term's depth. Nothing is kept
     between calls.
     """
-    memo: dict[Term, BoundedLang] = {}
-    for t in postorder(term):
-        cls = type(t)
-        if cls is Zero:
-            memo[t] = BoundedLang(bound)
-        elif cls is One:
-            memo[t] = BoundedLang(bound, ((),))
-        elif cls is Atom:
-            memo[t] = BoundedLang(bound, ((SymSet(t.letter),),) if bound >= 1 else ())
-        elif cls is Star or cls is H:
-            memo[t] = _LANG_OPS[cls](memo[t.inner])
-        else:
-            memo[t] = _LANG_OPS[cls](memo[t.left], memo[t.right])
-    return memo[term]
+    ops = Ops(plus=lang_union, dot=lang_concat, sync=lang_sync, star=lang_star,
+              zero=BoundedLang(bound), one=BoundedLang(bound, ((),)), h=lang_h)
+    return evaluate(term, ops,
+                    lambda letter: BoundedLang(bound, ((SymSet(letter),),) if bound >= 1 else ()))
 
 
 def pi_word(word: SyncWord) -> tuple[Term, ...]:

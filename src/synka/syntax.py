@@ -14,8 +14,9 @@ term per line.
 
 ``parse_term`` is one loop over the characters of the text that keeps an
 operand stack and an operator stack, so nesting depth is bounded by
-memory, not by the recursion limit. It reads the operators' symbols and
-binding strengths from the term classes, as the printer does.
+memory, not by the recursion limit. It reads the leaves from the text
+table in ``terms`` and the operators' symbols and binding strengths from
+the term classes, as the printer does.
 
 ``classify`` reads three facts that every node records at construction
 (semilattice term, ``H``-free, in the normal-form grammar), so it takes
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import LETTERS, Atom, H, One, Plus, Seq, Star, Sync, Term, Zero
+from .terms import _LEAVES, LETTERS, H, Plus, Seq, Star, Sync, Term
 
 
 class TermSyntaxError(ValueError):
@@ -50,7 +51,6 @@ class UnknownLetterError(TermSyntaxError):
 
 # Whitespace, and the "#" that starts a comment running to the end of the line.
 _BLANK = frozenset(" \t\r\n#")
-_LEAVES = {"0": Zero(), "1": One(), **{letter: Atom(letter) for letter in LETTERS}}
 _BINARY = {cls.symbol: cls for cls in (Plus, Sync, Seq)}
 
 

@@ -23,13 +23,13 @@ distinct nodes, so neither depth nor sharing makes it recurse or grow. A
 deep copy is the node itself.
 
 ``postorder`` walks a term's distinct nodes, operands first, over an
-explicit stack; ``size``, the pickle encoding and the bottom-up passes in
-``language`` and ``countermodel`` all run on it, so none is bounded by
-the recursion limit or slowed by sharing. ``right_associated`` nests
-every ``;``-chain to the right, for the derivative searches in
-``equivalence`` and ``derivatives.member``, and ``str`` prints a term
-with minimal parentheses; each walks a stack of its own, as it needs more
-than the operands-first order.
+explicit stack; ``size``, the pickle encoding and ``evaluate``, which
+reads a term in any model given as an ``Ops`` record, all run on it, so
+none is bounded by the recursion limit or slowed by sharing.
+``right_associated`` nests every ``;``-chain to the right, for the
+derivative searches in ``equivalence`` and ``derivatives.member``, and
+``str`` prints a term with minimal parentheses; each walks a stack of its
+own, as it needs more than the operands-first order.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import string
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 LETTERS = frozenset(string.ascii_lowercase)
 
@@ -287,6 +288,41 @@ def postorder(term: Term) -> Iterator[Term]:
             seen.add(t)
             stack.append((t, True))
             stack.extend((c, False) for c in reversed(_operands(t)))
+
+
+@dataclass(frozen=True)
+class Ops:
+    """A model of the term syntax: the values of ``0`` and ``1`` and the
+    function of each operator. ``h`` is ``None`` in a model without ``H``."""
+
+    plus: Callable
+    dot: Callable
+    sync: Callable
+    star: Callable
+    zero: object
+    one: object
+    h: Callable | None = None
+
+
+TERM_OPS = Ops(plus=Plus, dot=Seq, sync=Sync, star=Star, zero=_ZERO, one=_ONE, h=H)
+
+
+def evaluate(term: Term, ops: Ops, valuation: Callable[[str], object]) -> object:
+    """The value of ``term`` in the model ``ops``, where each letter takes
+    the value ``valuation(letter)``. Each distinct node is evaluated once,
+    in ``postorder``; nothing is kept between calls."""
+    binary = {Plus: ops.plus, Seq: ops.dot, Sync: ops.sync}
+    unary = {Star: ops.star, H: ops.h}
+    values: dict[Term, object] = {_ZERO: ops.zero, _ONE: ops.one}
+    for t in postorder(term):
+        cls = type(t)
+        if cls in binary:
+            values[t] = binary[cls](values[t.left], values[t.right])
+        elif cls in unary:
+            values[t] = unary[cls](values[t.inner])
+        elif cls is Atom:
+            values[t] = valuation(t.letter)
+    return values[term]
 
 
 def size(term: Term) -> int:

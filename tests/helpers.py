@@ -15,7 +15,7 @@ are recomputed by plain recursive tree walks, a term is printed by
 recursion over it as a tree and parsed by recursive descent, and the
 unary-set operators are recomputed by plain enumeration up to a horizon
 and by ``ReferenceUnaryLang``, which tests membership one natural at a
-time.
+time. ``random_context`` draws one-hole contexts for congruence checks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from collections import deque
 from collections.abc import Iterable
 from typing import Callable
@@ -64,6 +65,7 @@ from synka import (
     step,
     transitions,
 )
+from synka.checks import random_term
 from synka.equivalence import EquivResult, _UnionFind
 from synka.terms import LETTERS
 
@@ -785,6 +787,26 @@ def naive_star(a: set[int], horizon: int) -> set[int]:
                     closure.add(c + x)
                     changed = True
     return closure
+
+
+def random_context(
+    rng: random.Random, alphabet: str = "ab", size: int = 4
+) -> Callable[[Term], Term]:
+    """A random one-hole context, returned as a term-to-term function."""
+    if size <= 1:
+        return lambda hole: hole
+    op = rng.choice(["plus", "seq", "sync", "star", "h"])
+    if op in ("star", "h"):
+        inner = random_context(rng, alphabet, size - 1)
+        wrap = Star if op == "star" else H
+        return lambda hole: wrap(inner(hole))
+    split = rng.randint(1, max(1, size - 2))
+    other = random_term(rng, alphabet, split)
+    inner = random_context(rng, alphabet, size - 1 - split if size - 1 - split >= 1 else 1)
+    node = {"plus": Plus, "seq": Seq, "sync": Sync}[op]
+    if rng.random() < 0.5:
+        return lambda hole: node(inner(hole), other)
+    return lambda hole: node(other, inner(hole))
 
 
 def term_strategy(alphabet: str = "ab", allow_h: bool = True, max_leaves: int = 8):

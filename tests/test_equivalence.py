@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_equiv, reference_equiv, term_strategy
+from helpers import brute_force_equiv, random_context, reference_equiv, term_strategy
 from synka import (
     Atom,
     EquivResult,
@@ -26,7 +26,7 @@ from synka import (
     sem_bounded,
 )
 from synka import terms
-from synka.checks import random_context, random_sl_term, random_term
+from synka.checks import random_sl_term, random_term
 
 # Left-nested ``;``-chains of random terms with ``&`` and ``H``, alone and
 # under ``&``, ``*`` and ``H``: the inputs that ``equiv`` right-associates.
@@ -204,3 +204,14 @@ def test_member_of_a_long_chain():
         chain = Seq(chain, Atom(letter))
     assert member(word, chain)
     assert not member(word[:-1], chain)
+
+
+def test_witness_of_a_long_chain():
+    # The witness is a 3000-symbol word, rebuilt once from the queue's links.
+    length = 3000
+    letters = ["ab"[i % 2] for i in range(length)]
+    chain = parse_term(";".join(letters))
+    other = parse_term(";".join(letters[:-1] + ["c"]))
+    result = equiv(chain, other)
+    assert not result.equivalent
+    assert result.witness == tuple(SymSet(letter) for letter in letters)

@@ -26,6 +26,7 @@ from synka import (
     word_sync,
 )
 from synka.checks import EQUATIONS, TERM_OPS, random_sl_term, random_term
+from synka.terms import letters
 
 words = st.lists(
     st.sets(st.sampled_from("abc"), min_size=1).map(SymSet), max_size=4
@@ -173,3 +174,23 @@ def test_axioms_hold_in_bounded_semantics():
             sls = [random_sl_term(rng, "ab", rng.randint(1, 3)) for _ in range(schema.sl_arity)]
             lhs, rhs = schema.build(TERM_OPS, variables, sls)
             assert sem_bounded(lhs, bound) == sem_bounded(rhs, bound), schema.name
+
+
+def test_schema_variables_and_arities():
+    # x, y, z are general variables and s, t semilattice ones; each schema's
+    # arities count the letters its two sides use.
+    for schema in EQUATIONS:
+        assert letters(schema.lhs) | letters(schema.rhs) <= set("xyzst"), schema.name
+    arities = {schema.name: (schema.arity, schema.sl_arity) for schema in EQUATIONS}
+    assert len(arities) == len(EQUATIONS) == 28
+    assert arities["synchrony"] == (2, 2)
+    assert arities["h-atom"] == (0, 1)
+    assert arities["plus-assoc"] == (3, 0)
+    assert arities["h-zero"] == (0, 0)
+
+
+def test_schema_build_substitutes_in_alphabetical_order():
+    synchrony = next(schema for schema in EQUATIONS if schema.name == "synchrony")
+    a, b, c, d = (parse_term(x) for x in "abcd")
+    assert synchrony.build(TERM_OPS, [a, b], [c, d]) == (
+        parse_term("c ; a & d ; b"), parse_term("(c & d) ; (a & b)"))

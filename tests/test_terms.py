@@ -35,7 +35,7 @@ from synka import (
 )
 from synka import terms
 from synka.checks import random_term
-from synka.terms import postorder, right_associated
+from synka.terms import TERM_OPS, Ops, evaluate, postorder, right_associated
 
 
 def _chain(length):
@@ -197,3 +197,25 @@ def test_postorder_matches_recursive_walk(term):
 def test_postorder_of_deep_and_shared_terms():
     assert len(list(postorder(_chain(5000)))) == 5001
     assert len(list(postorder(_doubling(60)))) == 2 * 60 + 1
+
+
+@given(term_strategy("abc") | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")))
+def test_evaluate_in_the_term_model_rebuilds_the_term(term):
+    assert evaluate(term, TERM_OPS, Atom) is term
+
+
+def test_evaluate_substitutes_letters():
+    swap = {"a": Atom("b"), "b": parse_term("c*")}
+    assert evaluate(parse_term("a ; b + H(a & 1)"), TERM_OPS, swap.__getitem__) is parse_term(
+        "b ; c* + H(b & 1)")
+
+
+def test_evaluate_of_deep_and_shared_terms():
+    # Far past the recursion limit, and, in a model that counts tree nodes,
+    # a term of 2 * 60 + 1 distinct nodes and 4 * 2^60 - 3 tree nodes.
+    chain = _chain(5000)
+    assert evaluate(chain, TERM_OPS, Atom) is chain
+    add = lambda *counts: 1 + sum(counts)  # noqa: E731
+    tree_size = Ops(plus=add, dot=add, sync=add, star=add, zero=1, one=1, h=add)
+    assert evaluate(chain, tree_size, lambda _: 1) == size(chain)
+    assert evaluate(_doubling(60), tree_size, lambda _: 1) == 4 * 2**60 - 3
