@@ -1,98 +1,66 @@
 """Synchronous regular expressions: parsing, bounded semantics, partial
-derivatives, equivalence, normal forms, and the one-letter model."""
+derivatives, equivalence, normal forms, and the one-letter model.
 
-from .countermodel import (
-    DAGGER,
-    Dagger,
-    HTermError,
-    ModelElement,
-    UnaryLang,
-    cm_dot,
-    cm_plus,
-    cm_star,
-    cm_sync,
-    eval_cm,
-    model_leq,
-)
-from .derivatives import (
-    derive,
-    member,
-    nullable,
-    reachable_states,
-    step,
-    to_dot,
-    transitions,
-    unfold,
-    unfold_as_term,
-)
-from .equivalence import (
-    DEFAULT_PAIR_CAP,
-    EquivResult,
-    StateLimitError,
-    equiv,
-)
-from .language import (
-    BoundedLang,
-    BoundMismatchError,
-    SyncWord,
-    format_word,
-    lang_concat,
-    lang_h,
-    lang_star,
-    lang_sync,
-    lang_union,
-    parse_word,
-    pi_lang,
-    pi_word,
-    sem_bounded,
-    word_sync,
-)
-from .normalform import (
-    LinearSystem,
-    NotGuardedError,
-    build_system,
-    format_system,
-    solve,
-    to_normal_form,
-)
-from .semilattice import (
-    SymSet,
-    canonical_atom,
-    is_sl_term,
-    nonempty_subsets,
-    normalize_sl,
-    parse_symset,
-    sl_equal,
-    sl_value,
-)
-from .syntax import (
-    Fragments,
-    TermSyntaxError,
-    UnknownLetterError,
-    classify,
-    parse_term,
-    parse_term_file,
-    print_term,
-)
-from .terms import (Atom, H, One, Ops, Plus, Seq, Star, Sync, Term, Zero, evaluate, h_free,
-                    letters, size)
+``import synka`` loads no submodule. Each public name lives in the module
+that ``_HOMES`` lists it under, and the first lookup of the name on the
+package (``synka.equiv``, or ``from synka import equiv``) imports that
+module and keeps the name here, so a program pays only for the modules it
+uses. A submodule named in ``_HOMES`` is itself imported on first lookup.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Atom", "BoundMismatchError", "BoundedLang", "DAGGER",
-    "DEFAULT_PAIR_CAP", "Dagger", "EquivResult", "Fragments", "H",
-    "HTermError", "LinearSystem", "ModelElement", "NotGuardedError", "One",
-    "Ops", "Plus", "Seq", "Star", "StateLimitError", "SymSet", "Sync", "SyncWord",
-    "Term", "TermSyntaxError", "UnaryLang", "UnknownLetterError", "Zero",
-    "build_system", "canonical_atom", "classify", "cm_dot", "cm_plus",
-    "cm_star", "cm_sync", "derive", "equiv", "eval_cm", "evaluate", "format_system",
-    "format_word", "h_free", "is_sl_term", "lang_concat", "lang_h",
-    "lang_star", "lang_sync", "lang_union", "letters", "member",
-    "model_leq", "nonempty_subsets", "normalize_sl", "nullable",
-    "parse_symset", "parse_term", "parse_term_file", "parse_word",
-    "pi_lang", "pi_word", "print_term", "reachable_states", "sem_bounded",
-    "size", "sl_equal", "sl_value", "solve", "step", "to_dot",
-    "to_normal_form", "transitions", "unfold", "unfold_as_term",
-    "word_sync",
-]
+_HOMES = {
+    "countermodel": (
+        "DAGGER", "Dagger", "HTermError", "ModelElement", "UnaryLang", "cm_dot", "cm_plus",
+        "cm_star", "cm_sync", "eval_cm", "model_leq",
+    ),
+    "derivatives": (
+        "derive", "member", "nullable", "reachable_states", "step", "to_dot", "transitions",
+        "unfold", "unfold_as_term",
+    ),
+    "equivalence": ("DEFAULT_PAIR_CAP", "EquivResult", "StateLimitError", "equiv"),
+    "language": (
+        "BoundMismatchError", "BoundedLang", "SyncWord", "format_word", "lang_concat", "lang_h",
+        "lang_star", "lang_sync", "lang_union", "parse_word", "pi_lang", "pi_word",
+        "sem_bounded", "word_sync",
+    ),
+    "normalform": (
+        "LinearSystem", "NotGuardedError", "build_system", "format_system", "solve",
+        "to_normal_form",
+    ),
+    "semilattice": (
+        "SymSet", "canonical_atom", "is_sl_term", "nonempty_subsets", "normalize_sl",
+        "parse_symset", "sl_equal", "sl_value",
+    ),
+    "syntax": (
+        "Fragments", "TermSyntaxError", "UnknownLetterError", "classify", "parse_term",
+        "parse_term_file", "print_term",
+    ),
+    "terms": (
+        "Atom", "H", "One", "Ops", "Plus", "Seq", "Star", "Sync", "Term", "Zero", "evaluate",
+        "h_free", "letters", "size",
+    ),
+}
+
+# Each public name's home module.
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return import_module("." + name, __name__)
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,25 +5,27 @@ negative verdict or a failed property suite, 2 for usage, syntax or
 resource errors, and 141 when the reader of the output closed it. A term
 nested too deeply for Python's recursion limit, or a call that runs out of
 memory, is a resource error.
+
+Most calls finish in well under a millisecond, so start-up is most of
+their time, and each command loads only the modules it runs. At start
+only ``syntax`` (with ``terms``) is loaded, as every command parses a
+term; each handler imports the rest of what it calls when it runs.
+``checks`` and ``inspect`` load only for ``check``, and ``json`` only
+for ``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-import json
 import os
 import sys
 
-from .checks import SUITES
-from .countermodel import eval_cm
-from .derivatives import member as word_member
-from .derivatives import nullable, reachable_states, to_dot, transitions
-from .equivalence import DEFAULT_PAIR_CAP, StateLimitError, equiv
-from .language import format_word, parse_word
-from .normalform import build_system, format_system, solve
-from .semilattice import SymSet
 from .syntax import parse_term, parse_term_file, print_term
+from .terms import sorted_letters
+
+# The names of ``checks.SUITES``, listed here so that building the parser
+# does not load the suites.
+_SUITE_NAMES = ("axioms", "derivatives", "fundamental", "normalform", "countermodel")
 
 
 def _at_least_one(text: str) -> int:
@@ -63,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", parents=[common], help="decide language equivalence")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--cap", type=_at_least_one, default=DEFAULT_PAIR_CAP, metavar="N",
+    p.add_argument("--cap", type=_at_least_one, default=None, metavar="N",
                    help="state-pair cap for the equivalence check, at least 1")
 
     p = sub.add_parser("nf", parents=[common], help="print an equivalent normal form")
@@ -79,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("term")
 
     p = sub.add_parser("check", parents=[common], help="run a property suite")
-    p.add_argument("suite", choices=list(SUITES))
+    p.add_argument("suite", choices=_SUITE_NAMES)
     p.add_argument("--bound", type=int, default=None, metavar="N",
                    help="word length bound for the bounded-semantics suites "
                         "(default: per suite)")
@@ -91,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:
@@ -111,6 +115,9 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_member(args) -> int:
+    from .derivatives import member as word_member
+    from .language import format_word, parse_word
+
     word = parse_word(args.word)
     term = parse_term(args.term, args.alphabet)
     verdict = word_member(word, term)
@@ -124,9 +131,12 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .equivalence import DEFAULT_PAIR_CAP, equiv
+    from .language import format_word
+
     left = parse_term(args.left, args.alphabet)
     right = parse_term(args.right, args.alphabet)
-    result = equiv(left, right, pair_cap=args.cap)
+    result = equiv(left, right, pair_cap=DEFAULT_PAIR_CAP if args.cap is None else args.cap)
     if result.equivalent:
         _emit(args, {"command": "equiv", "equivalent": True, "witness": None},
               ["equivalent"])
@@ -138,6 +148,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_nf(args) -> int:
+    from .normalform import build_system, format_system, solve
+
     term = parse_term(args.term, args.alphabet)
     system = build_system(term)
     normal = solve(system)[term]
@@ -154,6 +166,8 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
+    from .derivatives import nullable, reachable_states, to_dot, transitions
+
     term = parse_term(args.term, args.alphabet)
     states = reachable_states(term)
     accepting = sum(map(nullable, states))
@@ -180,6 +194,8 @@ def _cmd_automaton(args) -> int:
 
 
 def _cmd_eval_cm(args) -> int:
+    from .countermodel import eval_cm
+
     term = parse_term(args.term, args.alphabet)
     value = eval_cm(term)
     _emit(args, {"command": "eval-cm", "term": print_term(term), "value": str(value)},
@@ -194,8 +210,8 @@ def _suite_options(args) -> dict:
 
 
 def _cmd_check(args) -> int:
-    if args.alphabet is not None:
-        SymSet(args.alphabet)
+    from .checks import SUITES
+
     results = SUITES[args.suite](args.seed, **_suite_options(args))
     lines = []
     for r in results:
@@ -233,12 +249,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "check":
+        import inspect
+
+        from .checks import SUITES
+
         accepted = inspect.signature(SUITES[args.suite]).parameters
         unread = ["--" + name for name in _suite_options(args) if name not in accepted]
         if unread:
             parser.error("unrecognized arguments: %s (the %s suite does not read them)"
                          % (" ".join(unread), args.suite))
     try:
+        if args.alphabet is not None:
+            sorted_letters(args.alphabet)
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
@@ -248,12 +270,21 @@ def main(argv: list[str] | None = None) -> int:
         # buffered to the null device so the flush at exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, StateLimitError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:
         print("error: term nested too deeply (Python recursion limit %d)"
               % sys.getrecursionlimit(), file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # StateLimitError is a RuntimeError; its module is imported here, not
+        # at start. Any other runtime error is a bug and propagates.
+        from .equivalence import StateLimitError
+
+        if not isinstance(exc, StateLimitError):
+            raise
+        print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

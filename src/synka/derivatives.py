@@ -27,7 +27,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
-from .language import SyncWord
 from .semilattice import SymSet, canonical_atom
 from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, right_associated
 
@@ -103,7 +102,7 @@ def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
     return merged
 
 
-def member(word: SyncWord, term: Term) -> bool:
+def member(word: tuple[SymSet, ...], term: Term) -> bool:
     """Word membership by iterated derivatives; no automaton is built. A
     symbol no current state can read rejects immediately. The steps start
     from ``right_associated(term)``, whose states each need O(1) new nodes,

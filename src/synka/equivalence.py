@@ -35,11 +35,9 @@ the count of examined pairs depends on the representation.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 
 from .derivatives import nullable, step
-from .language import SyncWord
 from .terms import Term, right_associated
 
 DEFAULT_PAIR_CAP = 1_000_000
@@ -49,13 +47,12 @@ class StateLimitError(RuntimeError):
     """Raised when the explored pair frontier exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class EquivResult:
-    """Outcome of an equivalence check. ``witness`` is present exactly
-    when the terms differ, and is then accepted by exactly one of them."""
+class EquivResult(namedtuple("EquivResult", "equivalent witness", defaults=(None,))):
+    """Outcome of an equivalence check, true when ``equivalent``.
+    ``witness`` is present exactly when the terms differ, and is then
+    accepted by exactly one of them."""
 
-    equivalent: bool
-    witness: SyncWord | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.equivalent

@@ -21,7 +21,7 @@ order of terms, so the output is the same in every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .derivatives import nullable, reachable_states, transitions
 from .semilattice import canonical_atom
@@ -32,19 +32,18 @@ class NotGuardedError(ValueError):
     """Raised when a matrix entry accepts the empty word."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(namedtuple("LinearSystem", "states matrix vector")):
     """A square system over an ordered list of term-labelled states.
 
-    ``vector`` is total over ``states``; ``matrix`` holds only the nonzero
-    entries, and a missing ``(source, target)`` pair stands for ``0``. A
-    vector ``y`` solves the system when ``matrix . y + vector`` is
-    language-equal to ``y`` at every state.
+    ``states`` is a tuple of terms, ``matrix`` a dict from ``(source,
+    target)`` state pairs to terms and ``vector`` a dict from states to
+    terms. ``vector`` is total over ``states``; ``matrix`` holds only the
+    nonzero entries, and a missing pair stands for ``0``. A vector ``y``
+    solves the system when ``matrix . y + vector`` is language-equal to
+    ``y`` at every state.
     """
 
-    states: tuple[Term, ...]
-    matrix: dict[tuple[Term, Term], Term]
-    vector: dict[Term, Term]
+    __slots__ = ()
 
     def rows(self) -> dict[Term, list[tuple[Term, Term]]]:
         """Each state's nonzero entries as ``(target, entry)`` pairs, the

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .terms import LETTERS, Atom, Sync, Term, letters
+from .terms import Atom, Sync, Term, letters, sorted_letters
 
 
 class SymSet:
@@ -26,14 +26,8 @@ class SymSet:
     __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[str]):
-        seq = tuple(sorted(set(letters)))
-        if not seq:
-            raise ValueError("a symbol set must contain at least one letter")
-        for ch in seq:
-            if ch not in LETTERS:
-                raise ValueError("letters must be single characters a-z, got %r" % (ch,))
-        self.letters = seq
-        self._hash = hash(seq)
+        self.letters = sorted_letters(letters)
+        self._hash = hash(self.letters)
 
     def union(self, other: SymSet) -> SymSet:
         return SymSet(self.letters + other.letters)

@@ -25,7 +25,7 @@ constant time at any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .terms import _LEAVES, LETTERS, H, Plus, Seq, Star, Sync, Term
 
@@ -146,8 +146,7 @@ def print_term(term: Term) -> str:
     return str(term)
 
 
-@dataclass(frozen=True)
-class Fragments:
+class Fragments(namedtuple("Fragments", "sl ska nsf sf1", defaults=(True,))):
     """Grammar fragment memberships of a term.
 
     ``sl``: letters and ``&`` only. ``ska``: no ``H``. ``nsf``: built from
@@ -156,10 +155,7 @@ class Fragments:
     grammar.
     """
 
-    sl: bool
-    ska: bool
-    nsf: bool
-    sf1: bool = True
+    __slots__ = ()
 
 
 def classify(term: Term) -> Fragments:

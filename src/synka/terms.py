@@ -38,10 +38,24 @@ import string
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
 LETTERS = frozenset(string.ascii_lowercase)
+
+
+def sorted_letters(letters: Iterable[str]) -> tuple[str, ...]:
+    """The distinct members of ``letters`` in alphabetical order. Raises
+    ``ValueError`` unless there is at least one and each is a letter
+    ``a``-``z``."""
+    seq = tuple(sorted(set(letters)))
+    if not seq:
+        raise ValueError("a symbol set must contain at least one letter")
+    for ch in seq:
+        if ch not in LETTERS:
+            raise ValueError("letters must be single characters a-z, got %r" % (ch,))
+    return seq
+
 
 # Binding strength for minimal-parenthesis printing; higher binds tighter.
 # All binary operators associate to the left.
@@ -290,18 +304,12 @@ def postorder(term: Term) -> Iterator[Term]:
             stack.extend((c, False) for c in reversed(_operands(t)))
 
 
-@dataclass(frozen=True)
-class Ops:
-    """A model of the term syntax: the values of ``0`` and ``1`` and the
-    function of each operator. ``h`` is ``None`` in a model without ``H``."""
+class Ops(namedtuple("Ops", "plus dot sync star zero one h", defaults=(None,))):
+    """A model of the term syntax: the values ``zero`` and ``one`` of ``0``
+    and ``1`` and the function of each operator (``plus``, ``dot``,
+    ``sync``, ``star``, ``h``). ``h`` is ``None`` in a model without ``H``."""
 
-    plus: Callable
-    dot: Callable
-    sync: Callable
-    star: Callable
-    zero: object
-    one: object
-    h: Callable | None = None
+    __slots__ = ()
 
 
 TERM_OPS = Ops(plus=Plus, dot=Seq, sync=Sync, star=Star, zero=_ZERO, one=_ONE, h=H)

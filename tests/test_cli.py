@@ -172,7 +172,7 @@ def test_out_of_memory_is_a_resource_error(capsys, monkeypatch):
     def exhaust(term):
         raise MemoryError
 
-    monkeypatch.setattr("synka.cli.build_system", exhaust)
+    monkeypatch.setattr("synka.normalform.build_system", exhaust)
     code, out, err = run(capsys, "nf", "a")
     assert code == 2
     assert out == ""
@@ -239,6 +239,59 @@ def test_check_rejects_empty_alphabet(capsys):
     code, out, err = run(capsys, "check", "axioms", "--alphabet", "")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["parse", "a"], ["member", "{a}", "a"], ["equiv", "a", "a"],
+                                  ["nf", "a"], ["automaton", "a"], ["eval-cm", "a"],
+                                  ["check", "axioms", "--iters", "1"]])
+@pytest.mark.parametrize("alphabet, bad", [("A", "A"), ("a,b", ",")])
+def test_every_command_validates_the_alphabet(capsys, argv, alphabet, bad):
+    code, out, err = run(capsys, *argv, "--alphabet", alphabet)
+    assert (code, out) == (2, "")
+    assert err == "error: letters must be single characters a-z, got %r\n" % bad
+
+
+def test_equiv_over_the_cap_is_one_error_line(capsys):
+    code, out, err = run(capsys, "equiv", "--cap", "3", "(a+b)*;a;(a+b);(a+b);(a+b)",
+                         "(a*;b*)*;a;(a+b);(a+b);(a+b)")
+    assert (code, out) == (2, "")
+    assert err == "error: equivalence check exceeded 3 determinized state pairs\n"
+
+
+def test_other_runtime_errors_propagate(capsys, monkeypatch):
+    # Only StateLimitError among runtime errors is a resource error; any
+    # other one is a bug and must not be reported as an exit code.
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr("synka.equivalence.equiv", broken)
+    with pytest.raises(RuntimeError, match="broken"):
+        main(["equiv", "a", "a"])
+
+
+def _fresh_run(*argv):
+    """Run ``main(argv)`` in a fresh interpreter; return the names in
+    ``sys.modules`` when it is done."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, synka.cli; synka.cli.main(sys.argv[1:]); "
+            "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True)
+    return set(done.stderr.split())
+
+
+def test_parse_starts_with_the_parser_only():
+    loaded = _fresh_run("parse", "1")
+    assert {m for m in loaded if m.startswith("synka")} <= {
+        "synka", "synka.cli", "synka.syntax", "synka.terms"}
+    assert not loaded & {"dataclasses", "inspect", "json"}
+
+
+def test_equiv_starts_without_checks_or_normal_forms():
+    loaded = _fresh_run("equiv", "a", "a")
+    assert "synka.equivalence" in loaded
+    assert not loaded & {"synka.checks", "synka.countermodel", "synka.normalform", "dataclasses"}
 
 
 def test_closed_stdout_exits_quietly():
