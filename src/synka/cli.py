@@ -119,6 +119,11 @@ def _cmd_member(args) -> int:
     from .language import format_word, parse_word
 
     word = parse_word(args.word)
+    if args.alphabet is not None:
+        unknown = sorted(set().union(*word).difference(args.alphabet))
+        if unknown:
+            raise ValueError("unknown letter %r in the word (not in declared alphabet)"
+                             % unknown[0])
     term = parse_term(args.term, args.alphabet)
     verdict = word_member(word, term)
     _emit(

@@ -6,6 +6,11 @@ equal up to associativity, commutativity and idempotence exactly when
 their letter sets coincide. ``canonical_atom`` fixes one representative
 per letter set (letters in order, nested to the left), which makes the
 value map invertible on canonical terms.
+
+A letter set, the symbol a synchronous word reads at one step, is a
+``SymSet``: the tuple of its letters in alphabetical order. Building one
+from outside text checks every letter; the union of two sets, taken at
+every ``&`` transition and every step of a word product, only merges them.
 """
 
 from __future__ import annotations
@@ -16,48 +21,27 @@ from collections.abc import Iterable
 from .terms import Atom, Sync, Term, letters, sorted_letters
 
 
-class SymSet:
-    """A nonempty set of letters, stored in the fixed alphabetical order.
-
-    Instances are immutable, hashable, iterable in letter order, and
-    totally ordered lexicographically. The printed form is ``{a,b}``.
+class SymSet(tuple):
+    """A nonempty set of letters: the tuple of its letters in alphabetical
+    order, so hashing, equality, iteration and the lexicographic order are
+    the tuple's. The printed form is ``{a,b}``.
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters: Iterable[str]):
-        self.letters = sorted_letters(letters)
-        self._hash = hash(self.letters)
+    def __new__(cls, letters: Iterable[str]) -> SymSet:
+        return tuple.__new__(cls, sorted_letters(letters))
 
     def union(self, other: SymSet) -> SymSet:
-        return SymSet(self.letters + other.letters)
-
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymSet) and self.letters == other.letters
-
-    def __lt__(self, other: SymSet) -> bool:
-        return self.letters < other.letters
-
-    def __le__(self, other: SymSet) -> bool:
-        return self.letters <= other.letters
+        # Both operands were checked when they were built, so their letters
+        # need only be merged, not validated again.
+        return tuple.__new__(SymSet, sorted(set(self + other)))
 
     def __str__(self) -> str:
-        return "{%s}" % ",".join(self.letters)
+        return "{%s}" % ",".join(self)
 
     def __repr__(self) -> str:
-        return "SymSet(%r)" % ("".join(self.letters),)
+        return "SymSet(%r)" % ("".join(self),)
 
 
 def parse_symset(text: str) -> SymSet:
@@ -106,8 +90,8 @@ def canonical_atom(symbols: SymSet) -> Term:
     ``sl_value``: distinct letter sets map to structurally distinct terms
     whose value is the original set.
     """
-    term: Term = Atom(symbols.letters[0])
-    for letter in symbols.letters[1:]:
+    term: Term = Atom(symbols[0])
+    for letter in symbols[1:]:
         term = Sync(term, Atom(letter))
     return term
 

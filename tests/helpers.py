@@ -134,7 +134,7 @@ def _splits(symbols: SymSet):
     Each letter goes to the left side, the right side, or both, except for
     the two assignments that leave a side empty.
     """
-    elems = symbols.letters
+    elems = symbols
     for assignment in itertools.product((0, 1, 2), repeat=len(elems)):
         left = tuple(ch for ch, a in zip(elems, assignment) if a != 1)
         right = tuple(ch for ch, a in zip(elems, assignment) if a != 0)

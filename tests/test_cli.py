@@ -35,6 +35,14 @@ def test_parse_unknown_letter(capsys):
     assert "unknown letter" in err
 
 
+def test_member_unknown_letter_in_the_word(capsys):
+    code, out, err = run(capsys, "member", "{a}{b,z}", "a ; b", "--alphabet", "ab")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown letter 'z' in the word (not in declared alphabet)\n"
+    code, out, _ = run(capsys, "member", "{a}{b}", "a ; b", "--alphabet", "ab")
+    assert (code, out) == (0, "member\n")
+
+
 def test_parse_file(tmp_path, capsys):
     path = tmp_path / "terms.txt"
     path.write_text("# header\na & b\nH(a) ; b # note\n", encoding="utf-8")

@@ -1,10 +1,12 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import sl_term_strategy
+from helpers import sl_term_strategy, term_strategy
 from synka import (
     Atom,
     SymSet,
@@ -15,14 +17,18 @@ from synka import (
     normalize_sl,
     parse_symset,
     parse_term,
+    reachable_states,
     sl_equal,
     sl_value,
+    transitions,
 )
+
+letter_sets = st.sets(st.sampled_from("abcdefgh"), min_size=1).map(SymSet)
 
 
 def test_symset_basics():
     s = SymSet("ba")
-    assert s.letters == ("a", "b")
+    assert tuple(s) == ("a", "b")
     assert str(s) == "{a,b}"
     assert "a" in s and "c" not in s
     assert SymSet("ab") == SymSet("ba")
@@ -31,6 +37,30 @@ def test_symset_basics():
         SymSet("")
     with pytest.raises(ValueError):
         SymSet("aB")
+
+
+@given(letter_sets, letter_sets)
+def test_symset_is_its_sorted_letters(a, b):
+    # A symbol set is the tuple of its letters: a union merges them, and
+    # order and hash are the tuple's.
+    union = a.union(b)
+    assert union == SymSet(a + b) and type(union) is SymSet
+    assert list(union) == sorted(set(a) | set(b))
+    assert [tuple(s) for s in sorted((a, b, union))] == sorted((tuple(a), tuple(b), tuple(union)))
+    assert hash(a) == hash(tuple(a))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(a, protocol))
+        assert again == a and type(again) is SymSet
+    for again in (copy.copy(a), copy.deepcopy(a)):
+        assert again == a and type(again) is SymSet
+
+
+@given(term_strategy("abc"), term_strategy("bcd"))
+def test_transition_symbols_are_symsets(e, f):
+    for q in reachable_states(Sync(e, f)):
+        for symbol in transitions(q):
+            assert type(symbol) is SymSet
+            assert str(symbol) == "{%s}" % ",".join(symbol)
 
 
 def test_parse_symset():
