@@ -38,7 +38,54 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Each command's name and help line, in the order the help lists them.
+_HELP = {
+    "parse": "parse and reprint a term",
+    "member": "decide word membership",
+    "equiv": "decide language equivalence",
+    "nf": "print an equivalent normal form",
+    "automaton": "build the term's automaton",
+    "eval-cm": "evaluate an H-free term in the one-letter model",
+    "check": "run a property suite",
+}
+
+
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
+    """Add the arguments that ``command`` reads, besides the common ones."""
+    if command == "parse":
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("term", nargs="?", help="term text")
+        group.add_argument("--file", help="file with one term per line")
+    elif command == "member":
+        p.add_argument("word", help="word literal, e.g. {a,b}{c} or eps")
+        p.add_argument("term")
+    elif command == "equiv":
+        p.add_argument("left")
+        p.add_argument("right")
+        p.add_argument("--cap", type=_at_least_one, default=None, metavar="N",
+                       help="state-pair cap for the equivalence check, at least 1")
+    elif command == "nf":
+        p.add_argument("term")
+        p.add_argument("--system", action="store_true", help="also dump the linear system")
+    elif command == "automaton":
+        p.add_argument("term")
+        p.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
+    elif command == "eval-cm":
+        p.add_argument("term")
+    else:  # check
+        p.add_argument("suite", choices=_SUITE_NAMES)
+        p.add_argument("--bound", type=int, default=None, metavar="N",
+                       help="word length bound for the bounded-semantics suites "
+                            "(default: per suite)")
+        p.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
+        p.add_argument("--iters", type=_at_least_one, default=None, metavar="N",
+                       help="instances per property, at least 1 (default: per suite)")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser. Every command is listed with its help, but
+    only ``command`` gets its arguments and ``-h``, or every command does
+    when ``command`` names none; the others are never parsed."""
     # The flags every command reads; each command adds its own.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alphabet", metavar="LETTERS",
@@ -52,42 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and evaluate terms in the one-letter model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[common], help="parse and reprint a term")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("term", nargs="?", help="term text")
-    group.add_argument("--file", help="file with one term per line")
-
-    p = sub.add_parser("member", parents=[common], help="decide word membership")
-    p.add_argument("word", help="word literal, e.g. {a,b}{c} or eps")
-    p.add_argument("term")
-
-    p = sub.add_parser("equiv", parents=[common], help="decide language equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--cap", type=_at_least_one, default=None, metavar="N",
-                   help="state-pair cap for the equivalence check, at least 1")
-
-    p = sub.add_parser("nf", parents=[common], help="print an equivalent normal form")
-    p.add_argument("term")
-    p.add_argument("--system", action="store_true", help="also dump the linear system")
-
-    p = sub.add_parser("automaton", parents=[common], help="build the term's automaton")
-    p.add_argument("term")
-    p.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
-
-    p = sub.add_parser("eval-cm", parents=[common],
-                       help="evaluate an H-free term in the one-letter model")
-    p.add_argument("term")
-
-    p = sub.add_parser("check", parents=[common], help="run a property suite")
-    p.add_argument("suite", choices=_SUITE_NAMES)
-    p.add_argument("--bound", type=int, default=None, metavar="N",
-                   help="word length bound for the bounded-semantics suites "
-                        "(default: per suite)")
-    p.add_argument("--seed", type=int, default=0, metavar="N", help="random seed")
-    p.add_argument("--iters", type=_at_least_one, default=None, metavar="N",
-                   help="instances per property, at least 1 (default: per suite)")
+    for name, help_text in _HELP.items():
+        if command in _HELP and name != command:
+            sub.add_parser(name, help=help_text, add_help=False)
+        else:
+            _add_arguments(name, sub.add_parser(name, parents=[common], help=help_text))
     return parser
 
 
@@ -251,7 +267,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The parser has no options of its own but ``-h``, so its first
+    # argument that is not an option names the command.
+    parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     if args.command == "check":
         import inspect

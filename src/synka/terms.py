@@ -10,11 +10,13 @@ modular hash-consing", 2006): a constructor returns the live node with the
 same class and operands, so equal terms are one object and compare and
 hash by identity, at any depth. The intern table is a plain dict from a
 node's class and operand ids to a weak reference to the node, so a lookup
-is one dict access and one call. The reference's callback removes the key
-when the node dies, unless a new node holds the key by then. A node nobody
-references is thus freed with all that is recorded on it: its letters and
-whether it is nullable, ``H``-free, a semilattice term, in the normal-form
-grammar or holds a ``;`` whose left operand is a ``;``, set at
+is one dict access and one call. A new node is built by one method that
+sets its slots and is entered with ``dict.setdefault``, which takes no
+lock. Its reference holds the key, and one module-level callback removes
+the key when the node dies, unless a new node holds the key by then. A
+node nobody references is thus freed with all that is recorded on it: its
+letters and whether it is nullable, ``H``-free, a semilattice term, in the
+normal-form grammar or holds a ``;`` whose left operand is a ``;``, set at
 construction from its operands' facts, and its transition table, filled
 on first use by ``derivatives``. ``0``, ``1`` and the atoms are fixed
 instances. Pickling and copying go back through the constructors, so they
@@ -34,14 +36,12 @@ own, as it needs more than the operands-first order.
 
 from __future__ import annotations
 
-import string
-import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
-LETTERS = frozenset(string.ascii_lowercase)
+LETTERS = frozenset("abcdefghijklmnopqrstuvwxyz")
 
 
 def sorted_letters(letters: Iterable[str]) -> tuple[str, ...]:
@@ -65,32 +65,42 @@ _PREC_SEQ = 3
 _PREC_STAR = 4
 _PREC_LEAF = 9
 
-# Live compound nodes: a plain dict from class and operand ids to a weak
-# reference. An operand in a key would keep a star alive, as its transitions
-# reach ``t ; star``; a live node keeps its operands, so their ids are not
-# reused. A node's reference removes its key when the node dies, unless a new
-# node has taken the key since; it takes no lock, as a node can die while
-# this thread holds it. A miss takes the lock and looks again, so that two
-# threads building the same term get one node.
-_NODES: dict[tuple, weakref.ref] = {}
-_NODES_LOCK = threading.Lock()
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that holds the node's key."""
+
+    __slots__ = ("key",)
 
 
-def _intern(cls, *operands) -> Term:
-    key = (cls, *map(id, operands))
-    ref = _NODES.get(key)
-    node = None if ref is None else ref()
-    if node is None:
-        with _NODES_LOCK:
-            ref = _NODES.get(key)
-            node = None if ref is None else ref()
-            if node is None:
-                node = object.__new__(cls)
-                node._build(*operands)
-                _NODES[key] = weakref.ref(
-                    node, lambda _, key=key: _remove_dead_weakref(_NODES, key)
-                )
-    return node
+# Live compound nodes: a plain dict from ``(class, id(left), id(right))`` or
+# ``(class, id(inner))`` to a ``_Ref`` to the node. An operand in a key would
+# keep a star alive, as its transitions reach ``t ; star``; a live node keeps
+# its operands, so their ids are not reused. No step takes a lock, as none
+# replaces a live entry: a new node is entered with ``setdefault``, so two
+# threads that build the same term both get the node entered first, and both
+# a dead entry found there, whose callback has not run yet, and the callback
+# itself go through ``_remove_dead_weakref``, which deletes the key only
+# while its value is dead.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref) -> None:
+    _remove_dead_weakref(_NODES, ref.key)
+
+
+def _enter(key: tuple, node: Term) -> Term:
+    """Enter the new ``node`` under ``key`` and return it, or return the
+    live node that another thread entered first."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    while True:
+        held = _NODES.setdefault(key, ref)
+        if held is ref:
+            return node
+        live = held()
+        if live is not None:
+            return live
+        _remove_dead_weakref(_NODES, key)
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -105,16 +115,6 @@ class Term:
                  "__weakref__")
 
     precedence = _PREC_LEAF
-
-    def _set_facts(self, nullable: bool, h_free: bool, sl: bool, nsf: bool, left_seq: bool,
-                   letters: frozenset[str]) -> None:
-        self._nullable = nullable
-        self._h_free = h_free
-        self._sl = sl
-        self._nsf = nsf
-        self._left_seq = left_seq
-        self._letters = letters
-        self._transitions = None
 
     def __repr__(self) -> str:
         return "<%s '%s'>" % (type(self).__name__, self)
@@ -168,16 +168,40 @@ class _Binary(Term):
     symbol = "?"
 
     def __new__(cls, left: Term, right: Term):
-        return _intern(cls, left, right)
+        key = (cls, id(left), id(right))
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node._build(left, right)
+        return _enter(key, node)
 
     def _build(self, left: Term, right: Term) -> None:
         if not isinstance(left, Term) or not isinstance(right, Term):
             raise TypeError("operands must be Terms")
+        cls = type(self)
         self.left = left
         self.right = right
-        self._set_facts(left._nullable and right._nullable, left._h_free and right._h_free,
-                        False, left._nsf and right._nsf, left._left_seq or right._left_seq,
-                        _union(left._letters, right._letters))
+        if cls is Plus:
+            self._nullable = left._nullable or right._nullable
+        else:
+            self._nullable = left._nullable and right._nullable
+        self._h_free = left._h_free and right._h_free
+        if cls is Sync:
+            self._sl = left._sl and right._sl
+            # In the normal-form grammar only as a canonical semilattice
+            # atom: letters in order, nested to the left.
+            self._nsf = (left._sl and left._nsf and type(right) is Atom
+                         and right.letter > max(left._letters))
+        else:
+            self._sl = False
+            self._nsf = left._nsf and right._nsf
+        self._left_seq = (left._left_seq or right._left_seq
+                          or cls is Seq and type(left) is Seq)
+        self._letters = _union(left._letters, right._letters)
+        self._transitions = None
 
 
 class Plus(_Binary):
@@ -187,10 +211,6 @@ class Plus(_Binary):
     symbol = "+"
     precedence = _PREC_PLUS
 
-    def _build(self, left: Term, right: Term) -> None:
-        super()._build(left, right)
-        self._nullable = left._nullable or right._nullable
-
 
 class Sync(_Binary):
     """Synchronous product: both operands advance in lock-step."""
@@ -198,14 +218,6 @@ class Sync(_Binary):
     __slots__ = ()
     symbol = "&"
     precedence = _PREC_SYNC
-
-    def _build(self, left: Term, right: Term) -> None:
-        super()._build(left, right)
-        self._sl = left._sl and right._sl
-        # In the normal-form grammar only as a canonical semilattice atom:
-        # letters in order, nested to the left.
-        self._nsf = (left._sl and left._nsf and type(right) is Atom
-                     and right.letter > max(left._letters))
 
 
 class Seq(_Binary):
@@ -215,21 +227,33 @@ class Seq(_Binary):
     symbol = ";"
     precedence = _PREC_SEQ
 
-    def _build(self, left: Term, right: Term) -> None:
-        super()._build(left, right)
-        self._left_seq = self._left_seq or type(left) is Seq
-
 
 class _Unary(Term):
     __slots__ = ("inner",)
 
     def __new__(cls, inner: Term):
-        return _intern(cls, inner)
+        key = (cls, id(inner))
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node._build(inner)
+        return _enter(key, node)
 
     def _build(self, inner: Term) -> None:
         if not isinstance(inner, Term):
             raise TypeError("operand must be a Term")
+        star = type(self) is Star
         self.inner = inner
+        self._nullable = star or inner._nullable
+        self._h_free = star and inner._h_free
+        self._sl = False
+        self._nsf = star and inner._nsf
+        self._left_seq = inner._left_seq
+        self._letters = inner._letters
+        self._transitions = None
 
 
 class Star(_Unary):
@@ -238,36 +262,33 @@ class Star(_Unary):
     __slots__ = ()
     precedence = _PREC_STAR
 
-    def _build(self, inner: Term) -> None:
-        super()._build(inner)
-        self._set_facts(True, inner._h_free, False, inner._nsf, inner._left_seq, inner._letters)
-
 
 class H(_Unary):
     """Empty-word projection: keeps only eps from the operand's language."""
 
     __slots__ = ()
 
-    def _build(self, inner: Term) -> None:
-        super()._build(inner)
-        self._set_facts(inner._nullable, False, False, False, inner._left_seq, inner._letters)
 
-
-def _leaf(cls, nullable: bool) -> Term:
+def _leaf(cls, nullable: bool, sl: bool, letters: frozenset[str]) -> Term:
     node = object.__new__(cls)
-    node._set_facts(nullable, True, False, True, False, frozenset())
+    node._nullable = nullable
+    node._h_free = True
+    node._sl = sl
+    node._nsf = True
+    node._left_seq = False
+    node._letters = letters
+    node._transitions = None
     return node
 
 
 def _atom(letter: str) -> Atom:
-    node = object.__new__(Atom)
+    node = _leaf(Atom, False, True, frozenset(letter))
     node.letter = letter
-    node._set_facts(False, True, True, True, False, frozenset(letter))
     return node
 
 
-_ZERO = _leaf(Zero, False)
-_ONE = _leaf(One, True)
+_ZERO = _leaf(Zero, False, False, frozenset())
+_ONE = _leaf(One, True, False, frozenset())
 _ATOMS = {letter: _atom(letter) for letter in LETTERS}
 
 

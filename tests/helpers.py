@@ -9,10 +9,12 @@ splits, linear systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
 (``reference_solve``), normal-form grammar membership is decided by
-recursion over the term (``reference_is_nsf``), a term's distinct nodes
-in post-order, bounded languages and the countermodel value of a term
-are recomputed by plain recursive tree walks, a term is printed by
-recursion over it as a tree and parsed by recursive descent, and the
+recursion over the term (``reference_is_nsf``), the facts a node
+records at construction (``reference_facts``, one rule per class), a
+term's distinct nodes in post-order, bounded languages and the
+countermodel value of a term are recomputed by plain recursive tree
+walks, a term is printed by recursion over it as a tree and parsed by
+recursive descent, and the
 unary-set operators are recomputed by plain enumeration up to a horizon
 and by ``ReferenceUnaryLang``, which tests membership one natural at a
 time. ``random_context`` draws one-hole contexts for congruence checks.
@@ -315,6 +317,38 @@ def reference_postorder(term) -> list:
 
     visit(term)
     return out
+
+
+def reference_facts(term) -> tuple:
+    """The facts ``term`` records at construction, in slot order (nullable,
+    ``H``-free, semilattice term, in the normal-form grammar, holds a ``;``
+    whose left operand is a ``;``, letters), by recursion over the term:
+    a binary node starts from the rules that ``+``, ``;`` and ``&`` share,
+    and its class then replaces the ones it changes."""
+    if isinstance(term, (Zero, One)):
+        return isinstance(term, One), True, False, True, False, frozenset()
+    if isinstance(term, Atom):
+        return False, True, True, True, False, frozenset(term.letter)
+    if isinstance(term, (Star, H)):
+        nullable, h_free, _, nsf, left_seq, used = reference_facts(term.inner)
+        if isinstance(term, Star):
+            return True, h_free, False, nsf, left_seq, used
+        return nullable, False, False, False, left_seq, used
+    left, right = reference_facts(term.left), reference_facts(term.right)
+    nullable = left[0] and right[0]
+    h_free = left[1] and right[1]
+    sl = False
+    nsf = left[3] and right[3]
+    left_seq = left[4] or right[4]
+    used = left[5] | right[5]
+    if isinstance(term, Plus):
+        nullable = left[0] or right[0]
+    elif isinstance(term, Sync):
+        sl = left[2] and right[2]
+        nsf = left[2] and left[3] and type(term.right) is Atom and term.right.letter > max(left[5])
+    else:
+        left_seq = left_seq or type(term.left) is Seq
+    return nullable, h_free, sl, nsf, left_seq, used
 
 
 def reference_is_nsf(term) -> bool:

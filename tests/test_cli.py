@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from synka.cli import main
+from synka.cli import _HELP, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -277,6 +277,21 @@ def test_other_runtime_errors_propagate(capsys, monkeypatch):
         main(["equiv", "a", "a"])
 
 
+def _subparser(parser, command):
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_parser_for_one_command_reads_and_prints_the_same(command):
+    # Only the named command gets its arguments; the help and usage of the
+    # program and of that command are those of the parser for every command.
+    full, lean = _build_parser(), _build_parser(command)
+    assert lean.format_help() == full.format_help()
+    assert lean.format_usage() == full.format_usage()
+    assert _subparser(lean, command).format_help() == _subparser(full, command).format_help()
+    assert not any(_subparser(lean, other)._actions for other in _HELP if other != command)
+
+
 def _fresh_run(*argv):
     """Run ``main(argv)`` in a fresh interpreter; return the names in
     ``sys.modules`` when it is done."""
@@ -293,7 +308,7 @@ def test_parse_starts_with_the_parser_only():
     loaded = _fresh_run("parse", "1")
     assert {m for m in loaded if m.startswith("synka")} <= {
         "synka", "synka.cli", "synka.syntax", "synka.terms"}
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    assert not loaded & {"dataclasses", "inspect", "json", "string"}
 
 
 def test_equiv_starts_without_checks_or_normal_forms():

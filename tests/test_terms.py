@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_postorder, term_strategy
+from helpers import reference_facts, reference_postorder, sl_term_strategy, term_strategy
 from synka import (
     Atom,
     H,
@@ -57,10 +57,13 @@ def test_equal_structure_is_one_node():
 
 
 def test_constructors_reject_bad_operands():
+    gc.collect()
+    baseline = len(terms._NODES)
     with pytest.raises(TypeError):
         Plus("a", Atom("b"))
     with pytest.raises(TypeError):
         Star(["a"])
+    assert len(terms._NODES) == baseline
     with pytest.raises(ValueError):
         Atom("A")
 
@@ -106,6 +109,74 @@ def test_threads_build_one_node_per_structure(seed):
     assert all(len(out) == 200 for out in built)
     for terms in zip(*built):
         assert all(term is terms[0] for term in terms)
+
+
+def test_threads_building_and_dropping_terms_share_nodes():
+    # In each round the threads drop their terms, wait for one another and
+    # build the same terms again at once, so they race to enter each new
+    # node. Transition tables make cycles, so some dropped nodes wait for
+    # the collector, which may clear their references while other threads
+    # build the same structures.
+    def build(out, barrier=None, rounds=30):
+        for _ in range(rounds):
+            out.clear()
+            if barrier is not None:
+                barrier.wait()
+            rng = random.Random(17)
+            out.extend(random_term(rng, "xyz", rng.randint(1, 12)) for _ in range(40))
+            for term in out[::3]:
+                transitions(term)
+
+    # A first round fills the tables of nodes that outlive the test.
+    build([], rounds=1)
+    gc.collect()
+    baseline = len(terms._NODES)
+    built = [[] for _ in range(4)]
+    barrier = threading.Barrier(len(built), timeout=60)
+    threads = [threading.Thread(target=build, args=(out, barrier)) for out in built]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for built_terms in zip(*built):
+        assert all(term is built_terms[0] for term in built_terms)
+    del built, built_terms
+    gc.collect()
+    assert len(terms._NODES) == baseline
+
+
+def test_dead_entry_is_replaced_and_its_callback_keeps_the_new_node():
+    # A reference whose node died before its callback ran, planted under
+    # the key of a node that does not exist yet.
+    gc.collect()
+    left, right = Atom("v"), Atom("w")
+    key = (Seq, id(left), id(right))
+    assert key not in terms._NODES
+    dead = terms._Ref(frozenset({"v"}), None)
+    dead.key = key
+    assert dead() is None
+    terms._NODES[key] = dead
+    node = Seq(left, right)
+    assert terms._NODES[key]() is node
+    terms._forget(dead)
+    assert terms._NODES[key]() is node
+    assert Seq(left, right) is node
+    # A node built by a thread that lost the race to enter it is dropped,
+    # and the entry keeps the live node.
+    loser = object.__new__(Seq)
+    loser._build(left, right)
+    assert terms._enter(key, loser) is node
+    del loser
+    assert terms._NODES[key]() is node
+    del node
+    gc.collect()
+    assert key not in terms._NODES
 
 
 def test_unreferenced_term_is_freed():
@@ -192,6 +263,14 @@ def test_postorder_matches_recursive_walk(term):
     nodes = list(postorder(term))
     assert nodes == reference_postorder(term)
     assert len(set(nodes)) == len(nodes)
+
+
+@given(term_strategy("abc") | sl_term_strategy()
+       | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")))
+def test_facts_match_reference(term):
+    for t in postorder(term):
+        facts = (t._nullable, t._h_free, t._sl, t._nsf, t._left_seq, t._letters)
+        assert facts == reference_facts(t)
 
 
 def test_postorder_of_deep_and_shared_terms():
