@@ -1,11 +1,38 @@
 """Language equivalence of terms, with shortest counterexamples.
 
 Two terms denote the same language exactly when, as states of the
-syntactic automaton, they accept the same words. The check runs a
-Hopcroft-Karp style bisimulation: both sides are determinized on the fly
-into sets of terms, a union-find merges set pairs already known to be
-language-equal, and the frontier is explored breadth-first so the first
-acceptance conflict yields a shortest distinguishing word.
+syntactic automaton, they accept the same words. The check is
+Hopcroft-Karp up to congruence (HKC; Bonchi & Pous, "Checking NFA
+equivalence in almost linear time via up-to techniques", POPL 2013): both
+sides are determinized on the fly into sets of terms, and the frontier is
+explored breadth-first, so the first acceptance conflict yields a shortest
+distinguishing word. A popped pair is skipped when it lies in the
+congruence closure of the pairs processed so far: the least relation that
+holds them and is an equivalence closed under union, since ``X ~ Y`` and
+``X' ~ Y'`` give ``X | X' ~ Y | Y'``. A union-find, their equivalence
+closure, tests first; it misses only pairs that need a union.
+
+The congruence test reads the processed pairs as rewriting rules: a pair
+``(X, Y)`` rewrites a set that contains ``X`` by adding ``Y``, and one
+that contains ``Y`` by adding ``X``. A pair ``(X, Y)`` lies in the closure
+exactly when rewriting ``X`` as far as it goes reaches every state of
+``Y``, and rewriting ``Y`` reaches every state of ``X``. Rewriting adds
+only states that some processed pair holds, so a pair with a state on one
+side only that no processed pair holds is not in the closure. That test,
+a symmetric difference and a subset test on the set of held states, ends
+the check on almost every pair whose states are new. Past it, each
+rewrite runs from a worklist of added states over an index from each
+state to the rules whose left side holds it, and counts down how many
+states of each such rule are still missing, so each rule fires at most
+once. The index is brought up to date only when a check gets that far.
+A rewrite visits at most every rule once per state of its left side, so
+a search where the closure prunes few pairs but every pair's states recur
+pays up to quadratically many rule visits in the processed pairs.
+
+Acceptance is tested as a pair is queued, and the search stops at the
+first conflict, so the rest of the last level is not expanded. The queue
+is in push order, so this is the conflict a test at pop time would find
+first.
 
 Each pair steps only on the symbols that either side can read, taken in
 sorted order. Any other symbol leads both sides to the empty set, a pair
@@ -21,24 +48,31 @@ new nodes each, and its tables are built without recursing down the
 chain. A term with no left-nested ``;`` is its own copy, so tables that
 were built on it before are reused.
 
-The witness does not depend on how the states are represented: it is the
-shortlex-least word (shortest, then least symbol by symbol) accepted by
-exactly one side. The queue holds words in shortlex order, each as a
-``(prefix, symbol)`` link, so a push copies nothing. The pair
-reached by a word u is skipped only when it lies in the equivalence
-closure of pairs processed at words v before u; if its sides differed on
-a suffix z, the sides of one such pair would differ on z too, and vz
-would be a distinguishing word before uz. So no prefix of the least
-distinguishing word is skipped, and no conflict comes before it. Only
-the count of examined pairs depends on the representation.
+The witness does not depend on how the states are represented, nor on
+which pairs are skipped: it is the shortlex-least word (shortest, then
+least symbol by symbol) accepted by exactly one side. The queue holds
+words in shortlex order, each as a ``(prefix, symbol)`` link, so a push
+copies nothing. A set accepts a word exactly when one of its states does,
+so the pairs whose sides agree on a suffix z form a congruence: an
+equivalence closed under union. The pair reached by a word u is skipped
+only when it lies in the congruence closure of pairs processed at words v
+before u, all of which agree on acceptance; if its sides differed on z,
+the sides of one such pair would differ on z too, and vz would be a
+distinguishing word before uz. So no prefix of the least distinguishing
+word is skipped, and no conflict comes before it. Only the count of
+examined pairs depends on the representation and on the closure used.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import defaultdict, deque, namedtuple
+from operator import attrgetter
 
-from .derivatives import nullable, step
+from .derivatives import step
 from .terms import Term, right_associated
+
+# A term's ``nullable`` fact, read straight off its node.
+_nullable = attrgetter("_nullable")
 
 DEFAULT_PAIR_CAP = 1_000_000
 
@@ -84,6 +118,89 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
+class _Congruence:
+    """The processed pairs as rewriting rules on sets of terms: a pair
+    ``(X, Y)`` rewrites a set that contains ``X`` by adding ``Y``, and one
+    that contains ``Y`` by adding ``X``. Two sets lie in the congruence
+    closure of the pairs exactly when rewriting each as far as it goes
+    reaches every state of the other (Bonchi & Pous 2013)."""
+
+    __slots__ = ("states", "pending", "index", "rules", "always")
+
+    def __init__(self):
+        # Every state that some processed pair holds.
+        self.states: set[Term] = set()
+        # The pairs added since the rules were last brought up to date.
+        self.pending: list[tuple[frozenset[Term], frozenset[Term]]] = []
+        # Each state, mapped to the numbers of the rules whose left side
+        # holds it. A rule is the size of its left side and its right side.
+        self.index: defaultdict[Term, list[int]] = defaultdict(list)
+        self.rules: list[tuple[int, frozenset[Term]]] = []
+        # The right sides of the rules whose left side is empty: every
+        # rewrite adds them.
+        self.always: frozenset[Term] = frozenset()
+
+    def add(self, left: frozenset[Term], right: frozenset[Term]) -> None:
+        self.states |= left
+        self.states |= right
+        self.pending.append((left, right))
+
+    def relates(self, left: frozenset[Term], right: frozenset[Term]) -> bool:
+        """Whether the pair lies in the congruence closure of the pairs."""
+        # Rewriting adds only states that some pair holds, so a state on
+        # one side only that no pair holds answers at once.
+        if not self.states.issuperset(left ^ right):
+            return False
+        index, rules = self.index, self.rules
+        for pair in self.pending:
+            for lhs, rhs in (pair, pair[::-1]):
+                if not lhs:
+                    self.always |= rhs
+                    continue
+                for state in lhs:
+                    index[state].append(len(rules))
+                rules.append((len(lhs), rhs))
+        self.pending.clear()
+        return self._covers(left, right) and self._covers(right, left)
+
+    def _covers(self, start: frozenset[Term], target: frozenset[Term]) -> bool:
+        """Whether rewriting ``start`` as far as it goes reaches every
+        state of ``target``."""
+        if self.always:
+            start = start | self.always
+        needed = set(target - start)
+        if not needed:
+            return True
+        index, rules = self.index, self.rules
+        closure = set(start)
+        work = list(start)
+        # How many states of its left side each rule still misses.
+        missing: dict[int, int] = {}
+        while work:
+            for number in index.get(work.pop(), ()):
+                size, rhs = rules[number]
+                left = missing.get(number, size) - 1
+                missing[number] = left
+                if left:
+                    continue
+                for state in rhs:
+                    if state not in closure:
+                        closure.add(state)
+                        work.append(state)
+                        needed.discard(state)
+                if not needed:
+                    return True
+        return False
+
+
+def _spell(link: tuple | None) -> tuple:
+    symbols = []
+    while link is not None:
+        link, symbol = link
+        symbols.append(symbol)
+    return tuple(reversed(symbols))
+
+
 def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     """Decide whether ``e`` and ``f`` denote the same language.
 
@@ -91,39 +208,38 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     have been examined.
     """
     uf = _UnionFind()
-    expanded: dict[frozenset[Term], tuple[bool, dict]] = {}
-
-    def expand(subset: frozenset[Term]) -> tuple[bool, dict]:
-        try:
-            return expanded[subset]
-        except KeyError:
-            value = expanded[subset] = (any(nullable(q) for q in subset), step(subset))
-            return value
+    congruence = _Congruence()
+    expanded: dict[frozenset[Term], dict] = {}
 
     empty: frozenset[Term] = frozenset()
-    start = (frozenset((right_associated(e),)), frozenset((right_associated(f),)))
-    queue: deque[tuple[frozenset[Term], frozenset[Term], tuple | None]] = deque([(*start, None)])
+    left = frozenset((right_associated(e),))
+    right = frozenset((right_associated(f),))
+    if any(map(_nullable, left)) != any(map(_nullable, right)):
+        return EquivResult(False, ())
+    queue: deque[tuple[frozenset[Term], frozenset[Term], tuple | None]] = deque([(left, right, None)])
     examined = 0
     while queue:
         left, right, word = queue.popleft()
-        if uf.find(left) == uf.find(right):
+        if uf.find(left) == uf.find(right) or congruence.relates(left, right):
             continue
-        accept_left, next_left = expand(left)
-        accept_right, next_right = expand(right)
-        if accept_left != accept_right:
-            symbols = []
-            while word is not None:
-                word, symbol = word
-                symbols.append(symbol)
-            return EquivResult(False, tuple(reversed(symbols)))
+        next_left = expanded.get(left)
+        if next_left is None:
+            next_left = expanded[left] = step(left)
+        next_right = expanded.get(right)
+        if next_right is None:
+            next_right = expanded[right] = step(right)
         uf.union(left, right)
+        congruence.add(left, right)
         examined += 1
         if examined > pair_cap:
             raise StateLimitError(
                 "equivalence check exceeded %d determinized state pairs" % pair_cap
             )
         for symbol in sorted(next_left.keys() | next_right.keys()):
-            queue.append(
-                (next_left.get(symbol, empty), next_right.get(symbol, empty), (word, symbol))
-            )
+            after_left = next_left.get(symbol, empty)
+            after_right = next_right.get(symbol, empty)
+            link = (word, symbol)
+            if any(map(_nullable, after_left)) != any(map(_nullable, after_right)):
+                return EquivResult(False, _spell(link))
+            queue.append((after_left, after_right, link))
     return EquivResult(True, None)

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
-a product and by ``reference_equiv``, the pair search started from the
-terms as given rather than from their right-associated copies,
+a product and by ``reference_equiv``, the pair search up to equivalence
+alone, started from the terms as given rather than from their
+right-associated copies,
 derivatives are recomputed one symbol at a time by enumerating product
 splits, linear systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
@@ -101,9 +102,10 @@ def brute_force_equiv(e, f) -> bool:
 
 
 def reference_equiv(e, f) -> EquivResult:
-    """``equiv`` as it was before it right-associated its inputs: the same
-    breadth-first pair search with a union-find, started from ``e`` and
-    ``f`` themselves."""
+    """``equiv`` as it was before it pruned up to congruence and
+    right-associated its inputs: the breadth-first pair search that skips a
+    pair only when a union-find relates it, tests acceptance as each pair
+    is popped, and starts from ``e`` and ``f`` themselves."""
     uf = _UnionFind()
     expanded: dict = {}
 

@@ -260,10 +260,10 @@ def test_every_command_validates_the_alphabet(capsys, argv, alphabet, bad):
 
 
 def test_equiv_over_the_cap_is_one_error_line(capsys):
-    code, out, err = run(capsys, "equiv", "--cap", "3", "(a+b)*;a;(a+b);(a+b);(a+b)",
+    code, out, err = run(capsys, "equiv", "--cap", "2", "(a+b)*;a;(a+b);(a+b);(a+b)",
                          "(a*;b*)*;a;(a+b);(a+b);(a+b)")
     assert (code, out) == (2, "")
-    assert err == "error: equivalence check exceeded 3 determinized state pairs\n"
+    assert err == "error: equivalence check exceeded 2 determinized state pairs\n"
 
 
 def test_other_runtime_errors_propagate(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import random
@@ -25,7 +26,7 @@ from synka import (
     parse_word,
     sem_bounded,
 )
-from synka import terms
+from synka import equivalence, terms
 from synka.checks import random_sl_term, random_term
 
 # Left-nested ``;``-chains of random terms with ``&`` and ``H``, alone and
@@ -164,6 +165,75 @@ def test_matches_reference_on_left_nested_chains(e, f):
     assert equiv(Plus(e, f), Plus(f, e)) == EquivResult(True, None)
 
 
+@settings(max_examples=300, deadline=None)
+@given(term_strategy("ab"), term_strategy("ab"))
+def test_matches_reference_on_random_terms(e, f):
+    # Sets of several states arise here, so pairs that only a union of
+    # processed pairs implies are skipped; the verdict and the witness stay
+    # those of the search up to equivalence.
+    assert equiv(e, f) == reference_equiv(e, f)
+
+
+def _congruence_closure(pairs, universe):
+    """The least equivalence on the subsets of ``universe`` that relates
+    ``pairs`` and is closed under union, as a map from each subset to a
+    class representative; found by adding one state to both sides of a
+    related pair until nothing changes."""
+    subsets = [frozenset(s for i, s in enumerate(universe) if bits >> i & 1)
+               for bits in range(1 << len(universe))]
+    cls = {s: s for s in subsets}
+
+    def find(s):
+        while cls[s] != s:
+            s = cls[s]
+        return s
+
+    def join(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            cls[rx] = ry
+            return True
+        return False
+
+    for x, y in pairs:
+        join(x, y)
+    changed = True
+    while changed:
+        changed = False
+        for x in subsets:
+            for y in subsets:
+                if x != y and find(x) == find(y):
+                    for state in universe:
+                        changed |= join(x | {state}, y | {state})
+    return find
+
+
+_subsets_of_four = st.frozensets(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_subsets_of_four, _subsets_of_four), max_size=4),
+       _subsets_of_four, _subsets_of_four)
+def test_congruence_test_is_the_congruence_closure(pairs, x, y):
+    congruence = equivalence._Congruence()
+    for left, right in pairs:
+        congruence.add(left, right)
+    find = _congruence_closure(pairs, range(4))
+    assert congruence.relates(x, y) == (find(x) == find(y))
+
+
+def _power_pair(n):
+    tail = " ; a" + " ; (a+b)" * n
+    return parse_term("(a+b)*" + tail), parse_term("(a*;b*)*" + tail)
+
+
+def test_congruence_prunes_the_power_pair():
+    # Up to equivalence the search examines 2^(n+1) + 1 pairs here; the
+    # first three pairs already imply every later one by union.
+    e, f = _power_pair(14)
+    assert equiv(e, f, pair_cap=10) == EquivResult(True, None)
+
+
 def _word_query(length):
     rng = random.Random(length)
     word = ";".join(rng.choice("ab") for _ in range(length))
@@ -193,6 +263,35 @@ def test_word_query_creates_linearly_many_nodes(monkeypatch):
 
     small, large = nodes_created(200), nodes_created(400)
     assert large <= 2.2 * small
+
+
+def test_word_query_visits_linearly_many_rules(monkeypatch):
+    # Saturation looks up the rules of each state it adds in the index; a
+    # test that scanned every processed pair on every pop would visit
+    # quadratically many.
+    visited = []
+
+    class CountingIndex(collections.defaultdict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            visited.append(len(found))
+            return found
+
+    plain_init = equivalence._Congruence.__init__
+
+    def counting_init(congruence):
+        plain_init(congruence)
+        congruence.index = CountingIndex(list)
+
+    monkeypatch.setattr(equivalence._Congruence, "__init__", counting_init)
+
+    def rules_visited(length):
+        visited.clear()
+        assert equiv(*_word_query(length)).equivalent
+        return sum(visited)
+
+    small, large = rules_visited(200), rules_visited(400)
+    assert 0 < small and large <= 2.2 * small
 
 
 def test_member_of_a_long_chain():

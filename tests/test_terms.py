@@ -179,6 +179,39 @@ def test_dead_entry_is_replaced_and_its_callback_keeps_the_new_node():
     assert key not in terms._NODES
 
 
+def test_dead_entry_is_kept_when_another_thread_enters_the_node_first(monkeypatch):
+    # The entry under a key is dead when ``_enter`` first looks, and another
+    # thread enters the same structure before the dead entry is removed: the
+    # constructor must return that thread's node, not enter its own.
+    gc.collect()
+    left, right = Atom("v"), Atom("w")
+    key = (Sync, id(left), id(right))
+    assert key not in terms._NODES
+    dead = terms._Ref(frozenset({"v"}), None)
+    dead.key = key
+    assert dead() is None
+    other = object.__new__(Sync)
+    other._build(left, right)
+    other_ref = terms._Ref(other, terms._forget)
+    other_ref.key = key
+
+    class Racing(dict):
+        raced = False
+
+        def setdefault(self, entry_key, default=None):
+            if entry_key == key and not Racing.raced:
+                Racing.raced = True
+                self[key] = other_ref
+                return dead
+            return super().setdefault(entry_key, default)
+
+    table = Racing({key: dead})
+    monkeypatch.setattr(terms, "_NODES", table)
+    assert Sync(left, right) is other
+    assert Racing.raced
+    assert table[key] is other_ref
+
+
 def test_unreferenced_term_is_freed():
     # Letters no other test uses, so no table elsewhere holds these nodes.
     # A star's transition table reaches ``t ; star``, a cycle back to it.
