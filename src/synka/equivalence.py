@@ -209,7 +209,6 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     """
     uf = _UnionFind()
     congruence = _Congruence()
-    expanded: dict[frozenset[Term], dict] = {}
 
     empty: frozenset[Term] = frozenset()
     left = frozenset((right_associated(e),))
@@ -222,12 +221,8 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
         left, right, word = queue.popleft()
         if uf.find(left) == uf.find(right) or congruence.relates(left, right):
             continue
-        next_left = expanded.get(left)
-        if next_left is None:
-            next_left = expanded[left] = step(left)
-        next_right = expanded.get(right)
-        if next_right is None:
-            next_right = expanded[right] = step(right)
+        next_left = step(left)
+        next_right = step(right)
         uf.union(left, right)
         congruence.add(left, right)
         examined += 1

@@ -3,9 +3,10 @@
 A semilattice term is a term built from letters and ``&`` alone. Its value
 is simply the set of letters it mentions, so two semilattice terms are
 equal up to associativity, commutativity and idempotence exactly when
-their letter sets coincide. ``canonical_atom`` fixes one representative
-per letter set (letters in order, nested to the left), which makes the
-value map invertible on canonical terms.
+their letter sets coincide. ``is_sl_term`` and ``sl_value`` each walk the
+term's distinct nodes once, in ``postorder``. ``canonical_atom`` fixes one
+representative per letter set (letters in order, nested to the left),
+which makes the value map invertible on canonical terms.
 
 A letter set, the symbol a synchronous word reads at one step, is a
 ``SymSet``: the tuple of its letters in alphabetical order. Building one
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .terms import Atom, Sync, Term, letters, sorted_letters
+from .terms import Atom, Sync, Term, postorder, sorted_letters
 
 
 class SymSet(tuple):
@@ -68,7 +69,7 @@ def nonempty_subsets(alphabet: Iterable[str]) -> tuple[SymSet, ...]:
 
 def is_sl_term(term: Term) -> bool:
     """True when ``term`` uses letters and ``&`` only."""
-    return term._sl
+    return all(type(t) in (Atom, Sync) for t in postorder(term))
 
 
 def sl_value(term: Term) -> SymSet:
@@ -77,9 +78,13 @@ def sl_value(term: Term) -> SymSet:
     Raises ``ValueError`` when ``term`` contains anything other than
     letters and ``&``.
     """
-    if not is_sl_term(term):
-        raise ValueError("not a semilattice term: %s" % term)
-    return SymSet(letters(term))
+    used = []
+    for t in postorder(term):
+        if type(t) is Atom:
+            used.append(t.letter)
+        elif type(t) is not Sync:
+            raise ValueError("not a semilattice term: %s" % term)
+    return SymSet(used)
 
 
 def canonical_atom(symbols: SymSet) -> Term:

@@ -18,16 +18,17 @@ memory, not by the recursion limit. It reads the leaves from the text
 table in ``terms`` and the operators' symbols and binding strengths from
 the term classes, as the printer does.
 
-``classify`` reads three facts that every node records at construction
-(semilattice term, ``H``-free, in the normal-form grammar), so it takes
-constant time at any depth.
+``classify`` reads whether a term is ``H``-free off its node, and finds
+whether it is a semilattice term and in the normal-form grammar in one
+``postorder`` walk over its distinct nodes, so neither depth nor sharing
+makes it recurse or repeat work.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .terms import _LEAVES, LETTERS, H, Plus, Seq, Star, Sync, Term
+from .terms import _LEAVES, LETTERS, Atom, H, Plus, Seq, Star, Sync, Term, postorder
 
 
 class TermSyntaxError(ValueError):
@@ -126,15 +127,14 @@ def parse_term(text: str, alphabet: str | frozenset[str] | None = None) -> Term:
 
 
 def parse_term_file(text: str, alphabet: str | frozenset[str] | None = None) -> list[Term]:
-    """Parse a batch file: one term per line, blank and comment-only lines
-    skipped."""
+    """Parse a batch file: one term per line, skipping lines blank before
+    any ``#`` comment. An error names its line and an offset in that line."""
     terms = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        if not line.split("#", 1)[0].strip(" \t"):
             continue
         try:
-            terms.append(parse_term(body, alphabet))
+            terms.append(parse_term(line, alphabet))
         except TermSyntaxError as exc:
             exc.args = ("line %d: %s" % (lineno, exc),)
             raise
@@ -146,13 +146,11 @@ def print_term(term: Term) -> str:
     return str(term)
 
 
-class Fragments(namedtuple("Fragments", "sl ska nsf sf1", defaults=(True,))):
+class Fragments(namedtuple("Fragments", "sl ska nsf")):
     """Grammar fragment memberships of a term.
 
     ``sl``: letters and ``&`` only. ``ska``: no ``H``. ``nsf``: built from
     ``0``, ``1``, canonical semilattice atoms, ``+``, ``;`` and ``*`` only.
-    ``sf1`` is always true: every parseable term belongs to the full
-    grammar.
     """
 
     __slots__ = ()
@@ -160,4 +158,19 @@ class Fragments(namedtuple("Fragments", "sl ska nsf sf1", defaults=(True,))):
 
 def classify(term: Term) -> Fragments:
     """Report which grammar fragments ``term`` belongs to."""
-    return Fragments(sl=term._sl, ska=term._h_free, nsf=term._nsf)
+    sl = nsf = True
+    for t in postorder(term):
+        cls = type(t)
+        if cls is Sync:
+            # In the normal-form grammar only as a canonical semilattice
+            # atom: letters in order, nested to the left. A left ``&`` is
+            # checked as a node of its own, so its right letter is its last.
+            left, right = t.left, t.right
+            if type(left) is Sync:
+                left = left.right
+            nsf = (nsf and type(left) is Atom and type(right) is Atom
+                   and left.letter < right.letter)
+        elif cls is not Atom:
+            sl = False
+            nsf = nsf and cls is not H
+    return Fragments(sl=sl, ska=term._h_free, nsf=nsf)

@@ -14,20 +14,22 @@ is one dict access and one call. A new node is built by one method that
 sets its slots and is entered with ``dict.setdefault``, which takes no
 lock. Its reference holds the key, and one module-level callback removes
 the key when the node dies, unless a new node holds the key by then. A
-node nobody references is thus freed with all that is recorded on it: its
-letters and whether it is nullable, ``H``-free, a semilattice term, in the
-normal-form grammar or holds a ``;`` whose left operand is a ``;``, set at
-construction from its operands' facts, and its transition table, filled
-on first use by ``derivatives``. ``0``, ``1`` and the atoms are fixed
-instances. Pickling and copying go back through the constructors, so they
-give the same node; a pickle holds a flat post-order tuple of the
-distinct nodes, so neither depth nor sharing makes it recurse or grow. A
-deep copy is the node itself.
+node nobody references is thus freed with all that is recorded on it:
+whether it is nullable, ``H``-free or holds a ``;`` whose left operand is
+a ``;``, set at construction from its operands' facts, and its transition
+table, filled on first use by ``derivatives``. Only the derivative
+searches and the countermodel's search for an ``H`` read these; a term's
+letters and grammar fragments are found by one walk when asked for.
+``0``, ``1`` and the atoms are fixed instances. Pickling and copying go
+back through the constructors, so they give the same node; a pickle
+holds a flat post-order tuple of the distinct nodes, so neither depth nor
+sharing makes it recurse or grow. A deep copy is the node itself.
 
 ``postorder`` walks a term's distinct nodes, operands first, over an
-explicit stack; ``size``, the pickle encoding and ``evaluate``, which
-reads a term in any model given as an ``Ops`` record, all run on it, so
-none is bounded by the recursion limit or slowed by sharing.
+explicit stack; ``size``, ``letters``, the pickle encoding and
+``evaluate``, which reads a term in any model given as an ``Ops`` record,
+all run on it, so none is bounded by the recursion limit or slowed by
+sharing.
 ``right_associated`` nests every ``;``-chain to the right, for the
 derivative searches in ``equivalence`` and ``derivatives.member``, and
 ``str`` prints a term with minimal parentheses; each walks a stack of its
@@ -103,16 +105,10 @@ def _enter(key: tuple, node: Term) -> Term:
         _remove_dead_weakref(_NODES, key)
 
 
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    # Reuse a set that covers the other, as one mostly does, so nodes share sets.
-    return a if b <= a else b if a <= b else a | b
-
-
 class Term:
     """Base class of all term nodes."""
 
-    __slots__ = ("_nullable", "_h_free", "_sl", "_nsf", "_left_seq", "_letters", "_transitions",
-                 "__weakref__")
+    __slots__ = ("_nullable", "_h_free", "_left_seq", "_transitions", "__weakref__")
 
     precedence = _PREC_LEAF
 
@@ -189,18 +185,8 @@ class _Binary(Term):
         else:
             self._nullable = left._nullable and right._nullable
         self._h_free = left._h_free and right._h_free
-        if cls is Sync:
-            self._sl = left._sl and right._sl
-            # In the normal-form grammar only as a canonical semilattice
-            # atom: letters in order, nested to the left.
-            self._nsf = (left._sl and left._nsf and type(right) is Atom
-                         and right.letter > max(left._letters))
-        else:
-            self._sl = False
-            self._nsf = left._nsf and right._nsf
         self._left_seq = (left._left_seq or right._left_seq
                           or cls is Seq and type(left) is Seq)
-        self._letters = _union(left._letters, right._letters)
         self._transitions = None
 
 
@@ -249,10 +235,7 @@ class _Unary(Term):
         self.inner = inner
         self._nullable = star or inner._nullable
         self._h_free = star and inner._h_free
-        self._sl = False
-        self._nsf = star and inner._nsf
         self._left_seq = inner._left_seq
-        self._letters = inner._letters
         self._transitions = None
 
 
@@ -269,32 +252,30 @@ class H(_Unary):
     __slots__ = ()
 
 
-def _leaf(cls, nullable: bool, sl: bool, letters: frozenset[str]) -> Term:
+def _leaf(cls, nullable: bool) -> Term:
     node = object.__new__(cls)
     node._nullable = nullable
     node._h_free = True
-    node._sl = sl
-    node._nsf = True
     node._left_seq = False
-    node._letters = letters
     node._transitions = None
     return node
 
 
 def _atom(letter: str) -> Atom:
-    node = _leaf(Atom, False, True, frozenset(letter))
+    node = _leaf(Atom, False)
     node.letter = letter
     return node
 
 
-_ZERO = _leaf(Zero, False, False, frozenset())
-_ONE = _leaf(One, True, False, frozenset())
+_ZERO = _leaf(Zero, False)
+_ONE = _leaf(One, True)
 _ATOMS = {letter: _atom(letter) for letter in LETTERS}
 
 
 def letters(term: Term) -> frozenset[str]:
-    """The set of alphabet letters occurring in ``term``."""
-    return term._letters
+    """The set of alphabet letters occurring in ``term``, from one
+    ``postorder`` walk."""
+    return frozenset(t.letter for t in postorder(term) if type(t) is Atom)
 
 
 def h_free(term: Term) -> bool:

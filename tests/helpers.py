@@ -10,8 +10,8 @@ splits, linear systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
 (``reference_solve``), normal-form grammar membership is decided by
-recursion over the term (``reference_is_nsf``), the facts a node
-records at construction (``reference_facts``, one rule per class), a
+recursion over the term (``reference_is_nsf``), a term's facts
+(``reference_facts``, one rule per class), a
 term's distinct nodes in post-order, bounded languages and the
 countermodel value of a term are recomputed by plain recursive tree
 walks, a term is printed by recursion over it as a tree and parsed by
@@ -322,9 +322,9 @@ def reference_postorder(term) -> list:
 
 
 def reference_facts(term) -> tuple:
-    """The facts ``term`` records at construction, in slot order (nullable,
-    ``H``-free, semilattice term, in the normal-form grammar, holds a ``;``
-    whose left operand is a ``;``, letters), by recursion over the term:
+    """The facts of ``term`` (nullable, ``H``-free, semilattice term, in the
+    normal-form grammar, holds a ``;`` whose left operand is a ``;``,
+    letters), by recursion over the term:
     a binary node starts from the rules that ``+``, ``;`` and ``&`` share,
     and its class then replaces the ones it changes."""
     if isinstance(term, (Zero, One)):

@@ -43,7 +43,6 @@ def test_records_keep_their_fields_defaults_and_repr():
     assert repr(result) == "EquivResult(equivalent=True, witness=None)"
     assert bool(result) and not synka.EquivResult(False, ())
     assert synka.classify(synka.parse_term("a")) == synka.Fragments(sl=True, ska=True, nsf=True)
-    assert synka.Fragments(sl=True, ska=True, nsf=True).sf1 is True
     assert synka.Ops(plus=1, dot=2, sync=3, star=4, zero=5, one=6).h is None
     system = synka.LinearSystem(states=(), matrix={}, vector={})
     assert repr(system) == "LinearSystem(states=(), matrix={}, vector={})"

@@ -137,6 +137,7 @@ def test_parse_term_file():
         "# a comment line",
         "a & b",
         "",
+        " \t # an indented comment",
         "H(a ; b)  # inline comment",
     ])
     terms = parse_term_file(text)
@@ -144,19 +145,29 @@ def test_parse_term_file():
 
 
 def test_parse_term_file_reports_line():
-    with pytest.raises(TermSyntaxError) as info:
-        parse_term_file("a\nb &\n")
-    assert "line 2" in str(info.value)
+    # The offset counts from the start of the line, as ``parse_term`` of
+    # the line alone gives it.
+    cases = [
+        ("a\nb &\n", None, "line 2: syntax error at offset 3: expected a term, found end of input"),
+        ("a\n    a + \n", None,
+         "line 2: syntax error at offset 8: expected a term, found end of input"),
+        ("# b\n  b & H \n", None, "line 2: syntax error at offset 8: expected '(' after H"),
+        ("a\n\t\n  q\n", "ab", "line 3: unknown letter 'q' at offset 2 (not in declared alphabet)"),
+    ]
+    for text, alphabet, message in cases:
+        with pytest.raises(TermSyntaxError) as info:
+            parse_term_file(text, alphabet)
+        assert str(info.value) == message
 
 
 def test_classify_examples():
     frag = classify(parse_term("a & b"))
-    assert frag.sl and frag.ska and frag.sf1
+    assert frag.sl and frag.ska
     # The canonical product of two letters is itself a normal-form atom.
     assert frag.nsf
 
     frag = classify(parse_term("H(a)"))
-    assert not frag.sl and not frag.ska and frag.sf1 and not frag.nsf
+    assert not frag.sl and not frag.ska and not frag.nsf
 
     # A canonical atom under ; and * stays in the normal-form fragment.
     assert classify(parse_term("(a & b) ; c*")).nsf
@@ -179,19 +190,16 @@ def test_classify_deep_chain():
 @given(term_strategy("ab"))
 def test_classify_monotone(term):
     frag = classify(term)
-    assert frag.sf1
-    if frag.sl:
+    if frag.sl or frag.nsf:
         assert frag.ska
-    if frag.nsf:
-        assert frag.sf1
 
 
 @settings(max_examples=300)
 @given(st.one_of(term_strategy("abc"), sl_term_strategy("abc"),
                  term_strategy("ab", max_leaves=5).map(to_normal_form)))
 def test_nsf_fact_matches_reference(term):
-    # The fact set at construction agrees with the recursive definition on
-    # random terms, semilattice terms and normal forms.
+    # ``classify`` agrees with the recursive definition on random terms,
+    # semilattice terms and normal forms.
     assert classify(term).nsf == reference_is_nsf(term)
 
 

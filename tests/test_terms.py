@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import reference_facts, reference_postorder, sl_term_strategy, term_strategy
 from synka import (
     Atom,
+    Fragments,
     H,
     One,
     Plus,
@@ -22,6 +23,7 @@ from synka import (
     Star,
     Sync,
     Zero,
+    classify,
     equiv,
     h_free,
     is_sl_term,
@@ -68,6 +70,23 @@ def test_constructors_reject_bad_operands():
         Atom("A")
 
 
+def _doubling(k):
+    """t(k + 1) = t(k) ; a + t(k), from t(0) = a."""
+    term = Atom("a")
+    for _ in range(k):
+        term = Plus(Seq(term, Atom("a")), term)
+    return term
+
+
+def _product_doubling(k):
+    """t(k + 1) = t(k) & t(k), from t(0) = a & b: k + 3 distinct nodes, and
+    2^(k + 2) - 1 nodes as a tree."""
+    term = Sync(Atom("a"), Atom("b"))
+    for _ in range(k):
+        term = Sync(term, term)
+    return term
+
+
 def test_separately_built_deep_chains_are_one_node():
     # Twice the default recursion limit deep: a structural comparison
     # recurses once per level.
@@ -79,13 +98,23 @@ def test_separately_built_deep_chains_are_one_node():
 
 
 def test_facts_of_deep_chain_need_no_recursion():
-    term = _chain(5000)
-    assert not nullable(term)
-    assert nullable(Star(term))
-    assert letters(term) == frozenset("ab")
-    assert h_free(term)
-    assert not h_free(H(term))
-    assert not is_sl_term(term)
+    # Far past the recursion limit, and DAGs whose trees have 4 * 2^60 - 3
+    # and 2^60 - 1 nodes, so each walk must visit only the distinct nodes.
+    cases = [
+        (_chain(5000), "ab", Fragments(sl=False, ska=True, nsf=True)),
+        (_doubling(60), "a", Fragments(sl=False, ska=True, nsf=True)),
+        (_product_doubling(58), "ab", Fragments(sl=True, ska=True, nsf=False)),
+    ]
+    for term, used, fragments in cases:
+        assert not nullable(term)
+        assert nullable(Star(term))
+        assert letters(term) == frozenset(used)
+        assert h_free(term)
+        assert not h_free(H(term))
+        assert is_sl_term(term) == fragments.sl
+        assert classify(term) == fragments
+        assert classify(Star(term)) == Fragments(sl=False, ska=True, nsf=fragments.nsf)
+        assert classify(H(term)) == Fragments(sl=False, ska=False, nsf=False)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -264,14 +293,6 @@ def test_deep_copy_of_a_deep_term_is_the_node():
     assert copy.deepcopy(chain) is chain
 
 
-def _doubling(k):
-    """t(k + 1) = t(k) ; a + t(k), from t(0) = a."""
-    term = Atom("a")
-    for _ in range(k):
-        term = Plus(Seq(term, Atom("a")), term)
-    return term
-
-
 @pytest.mark.parametrize("term", [_chain(5000), _doubling(60)], ids=["chain", "doubling"])
 def test_pickle_of_a_deep_or_shared_term_is_the_node(term):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -301,8 +322,10 @@ def test_postorder_matches_recursive_walk(term):
 @given(term_strategy("abc") | sl_term_strategy()
        | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")))
 def test_facts_match_reference(term):
+    # The facts a node records, and those that walks find, at every node.
     for t in postorder(term):
-        facts = (t._nullable, t._h_free, t._sl, t._nsf, t._left_seq, t._letters)
+        fragments = classify(t)
+        facts = (t._nullable, t._h_free, fragments.sl, fragments.nsf, t._left_seq, letters(t))
         assert facts == reference_facts(t)
 
 
