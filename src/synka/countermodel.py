@@ -18,6 +18,13 @@ period and two ints of bits (the eventually periodic form of Chrobak,
 "Finite automata and unary languages", 1986), and each operator works on
 the bits with shifts, ORs and ANDs, never one natural at a time.
 
+The four operations on sets, ``union``, ``sum_set``, ``max_set`` and
+``star_closure``, are pure functions of canonical values, and the terms
+of one workload apply them to few distinct sets, so each keeps a
+``functools.lru_cache`` of its last ``MEMO_ENTRIES`` calls. A set hashes
+and compares by its canonical ints, so a hit returns a value equal to
+the one the operation computes.
+
 ``MODEL_OPS`` is the model as a ``terms.Ops`` record, and ``eval_cm`` is
 one ``terms.evaluate`` call with it, so each distinct subterm of a term
 that shares subterms (as solved normal forms do) is evaluated once, with
@@ -26,12 +33,17 @@ no Python recursion.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections.abc import Iterable
 from typing import Union
 
 from .terms import H, Ops, Term, _operands, evaluate
+
+
+# How many calls each set operation remembers; the least recently used goes first.
+MEMO_ENTRIES = 1024
 
 
 class Dagger:
@@ -76,7 +88,8 @@ class UnaryLang:
 
     The operations compute on these ints directly: each builds the bits of
     its result below one threshold and period (a window) with shifts, ORs
-    and ANDs, and canonicalizes the window.
+    and ANDs, and canonicalizes the window. Each is memoized over its last
+    ``MEMO_ENTRIES`` calls; ``__wrapped__`` is the uncached function.
     """
 
     __slots__ = ("threshold", "period", "low_bits", "cycle_bits", "_hash")
@@ -200,12 +213,14 @@ class UnaryLang:
     def __repr__(self) -> str:
         return "UnaryLang(%s)" % self
 
+    @functools.lru_cache(maxsize=MEMO_ENTRIES)
     def union(self, other: UnaryLang) -> UnaryLang:
         period = math.lcm(self.period, other.period)
         threshold = max(self.threshold, other.threshold)
         end = threshold + period
         return UnaryLang(threshold, period, self._window(end) | other._window(end))
 
+    @functools.lru_cache(maxsize=MEMO_ENTRIES)
     def sum_set(self, other: UnaryLang) -> UnaryLang:
         """Concatenation on length sets: all sums of a member of each.
 
@@ -230,6 +245,7 @@ class UnaryLang:
             mine &= mine - 1
         return UnaryLang(threshold, period, bits & _mask(end))
 
+    @functools.lru_cache(maxsize=MEMO_ENTRIES)
     def max_set(self, other: UnaryLang) -> UnaryLang:
         """Synchronous product on length sets: all pointwise maxima.
 
@@ -246,6 +262,7 @@ class UnaryLang:
         bits = self._window(end) & ~_mask(theirs) | other._window(end) & ~_mask(mine)
         return UnaryLang(threshold, period, bits)
 
+    @functools.lru_cache(maxsize=MEMO_ENTRIES)
     def star_closure(self) -> UnaryLang:
         """The least set containing 0 and closed under adding members.
 
@@ -353,7 +370,10 @@ def eval_cm(term: Term) -> ModelElement:
     generator ``{1}``.
 
     Each distinct subterm is evaluated once per call, by ``evaluate``:
-    terms are interned, so equal subterms are one node. The walk uses no
+    terms are interned, so equal subterms are one node. Across calls, the
+    set operations the model's operators apply remember their last
+    ``MEMO_ENTRIES`` results each, so an operation applied to sets met
+    before, in this term or an earlier one, is looked up. The walk uses no
     Python recursion, so the recursion limit does not bound the term's
     depth. A term containing H raises ``HTermError`` naming its
     leftmost-outermost H, found by descending into the first operand that

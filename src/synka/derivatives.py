@@ -28,7 +28,8 @@ from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 from .semilattice import SymSet, canonical_atom
-from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, right_associated
+from .terms import (Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, printed_forms,
+                    right_associated)
 
 
 def nullable(term: Term) -> bool:
@@ -119,7 +120,11 @@ def reachable_states(term: Term) -> tuple[Term, ...]:
     """``term`` plus every term its transitions reach, in any number of
     steps, sorted by printed form: the states of the term's automaton and
     linear system, in the one order both are read in. The closure is found
-    with an explicit stack."""
+    with an explicit stack. The states are printed by one
+    ``printed_forms`` walk, so a node that several states share, such as
+    the ``e*`` in each ``e' ; e*``, is visited once, not once per state.
+    Distinct terms print differently, so the order is that of
+    ``sorted(states, key=str)``."""
     seen = {term}
     stack = [term]
     while stack:
@@ -128,7 +133,9 @@ def reachable_states(term: Term) -> tuple[Term, ...]:
                 if target not in seen:
                     seen.add(target)
                     stack.append(target)
-    return tuple(sorted(seen, key=str))
+    states = list(seen)
+    forms = dict(zip(states, printed_forms(states)))
+    return tuple(sorted(states, key=forms.__getitem__))
 
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
@@ -165,7 +172,7 @@ def to_dot(term: Term) -> str:
 
     states = reachable_states(term)
     order = {state: i for i, state in enumerate(states)}
-    names = [quote(str(state)) for state in states]
+    names = [quote(form) for form in printed_forms(states)]
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for i, state in enumerate(states):
         shape = "doublecircle" if nullable(state) else "circle"

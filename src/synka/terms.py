@@ -32,8 +32,10 @@ all run on it, so none is bounded by the recursion limit or slowed by
 sharing.
 ``right_associated`` nests every ``;``-chain to the right, for the
 derivative searches in ``equivalence`` and ``derivatives.member``, and
-``str`` prints a term with minimal parentheses; each walks a stack of its
-own, as it needs more than the operands-first order.
+``printed_forms`` prints terms with minimal parentheses, in one walk over
+all of them, so a node the terms share is visited once (``str`` is that
+walk over one term); each walks a stack of its own, as it needs more than
+the operands-first order.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class Term:
         return "<%s '%s'>" % (type(self).__name__, self)
 
     def __str__(self) -> str:
-        return _print(self)
+        return printed_forms((self,))[0]
 
     def __reduce__(self):
         # Pickling and copying rebuild through the constructors, which
@@ -422,59 +424,71 @@ _JOINS = {
 _LEAVES = {text: leaf for leaf, text in _TEXT.items()}
 
 
-def _print(term: Term) -> str:
-    """Render ``term`` with minimal parentheses: a child is parenthesised
-    when it binds looser than its parent, or as tight in a right slot.
+def printed_forms(terms: Iterable[Term]) -> list[str]:
+    """Each of ``terms`` rendered with minimal parentheses, in order: a
+    child is parenthesised when it binds looser than its parent, or as
+    tight in a right slot.
 
-    The walk uses an explicit stack and appends fragments to one list. The
-    first time it prints a compound node it records the node's span of the
-    list, and every later occurrence copies that span, so each distinct
-    node is visited once and memory stays linear in the output (a string
-    per node would be quadratic on a chain).
+    One walk prints them all. It uses an explicit stack and appends
+    fragments to one list. The first time it prints a compound node it
+    records the node's span of the list, and every later occurrence, in
+    the same term or a later one, copies that span. So each distinct node
+    of all the terms is visited once, and memory stays linear in the
+    output (a string per node would be quadratic on a chain).
     """
-    text = _TEXT.get(term)
-    if text is not None:
-        return text
     out: list[str] = []
     spans: dict[Term, tuple[int, int]] = {}
-    stack: list = [term]
+    forms: list[str] = []
+    stack: list = []
     push = stack.append
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        elif type(item) is tuple:
-            node, start = item
-            spans[node] = (start, len(out))
-        elif item in spans:
-            start, end = spans[item]
-            out.extend(out[start:end])
-        else:
-            push((item, len(out)))
-            cls = type(item)
-            if cls is Star:
-                inner = item.inner
-                if inner.precedence < _PREC_STAR:
-                    push(")*")
-                    push(inner)
-                    push("(")
-                else:
-                    push("*")
-                    push(_TEXT.get(inner, inner))
-            elif cls is H:
-                push(")")
-                push(_TEXT.get(item.inner, item.inner))
-                push("H(")
+    for term in terms:
+        text = _TEXT.get(term)
+        if text is not None:
+            forms.append(text)
+            continue
+        if term in spans:
+            start, end = spans[term]
+            forms.append("".join(out[start:end]))
+            continue
+        first = len(out)
+        push(term)
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+            elif type(item) is tuple:
+                node, start = item
+                spans[node] = (start, len(out))
+            elif item in spans:
+                start, end = spans[item]
+                out.extend(out[start:end])
             else:
-                prec = cls.precedence
-                left, right = item.left, item.right
-                lw = left.precedence < prec
-                rw = right.precedence <= prec
-                if rw:
+                push((item, len(out)))
+                cls = type(item)
+                if cls is Star:
+                    inner = item.inner
+                    if inner.precedence < _PREC_STAR:
+                        push(")*")
+                        push(inner)
+                        push("(")
+                    else:
+                        push("*")
+                        push(_TEXT.get(inner, inner))
+                elif cls is H:
                     push(")")
-                push(_TEXT.get(right, right))
-                push(_JOINS[cls][2 * lw + rw])
-                push(_TEXT.get(left, left))
-                if lw:
-                    push("(")
-    return "".join(out)
+                    push(_TEXT.get(item.inner, item.inner))
+                    push("H(")
+                else:
+                    prec = cls.precedence
+                    left, right = item.left, item.right
+                    lw = left.precedence < prec
+                    rw = right.precedence <= prec
+                    if rw:
+                        push(")")
+                    push(_TEXT.get(right, right))
+                    push(_JOINS[cls][2 * lw + rw])
+                    push(_TEXT.get(left, left))
+                    if lw:
+                        push("(")
+        forms.append("".join(out[first:]))
+    return forms

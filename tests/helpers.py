@@ -6,7 +6,9 @@ a product and by ``reference_equiv``, the pair search up to equivalence
 alone, started from the terms as given rather than from their
 right-associated copies,
 derivatives are recomputed one symbol at a time by enumerating product
-splits, linear systems are built over ``reachable_terms``, a
+splits, the reached states are closed by recursion and sorted by each
+state's own printed form (``reference_reachable_states``), linear
+systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
 (``reference_solve``), normal-form grammar membership is decided by
@@ -211,6 +213,22 @@ def reachable_terms(term: Term) -> frozenset[Term]:
         out = {Sync(lt, rt) for lt in lefts for rt in rights}
         return frozenset(out) | lefts | rights
     raise TypeError("unknown term node %r" % (term,))
+
+
+def reference_reachable_states(term: Term) -> tuple[Term, ...]:
+    """The states of ``term``'s automaton, found by a recursive closure
+    over ``transitions`` and sorted by each state's own ``str``."""
+    closure = set()
+
+    def visit(state):
+        if state not in closure:
+            closure.add(state)
+            for targets in transitions(state).values():
+                for target in targets:
+                    visit(target)
+
+    visit(term)
+    return tuple(sorted(closure, key=str))
 
 
 def reference_build_system(term) -> LinearSystem:

@@ -34,6 +34,7 @@ from synka import (
     word_sync,
 )
 from synka.checks import check_countermodel, sample_model_elements
+from synka.countermodel import MEMO_ENTRIES
 
 
 def test_canonical_representations():
@@ -103,6 +104,15 @@ def _canonical(lang):
     return lang.threshold, lang.period, lang.low_bits, lang.cycle_bits
 
 
+# The memoized set operations; ``__wrapped__`` is each one uncached.
+_MEMOIZED = (UnaryLang.union, UnaryLang.sum_set, UnaryLang.max_set, UnaryLang.star_closure)
+
+
+def _clear_memos():
+    for operation in _MEMOIZED:
+        operation.cache_clear()
+
+
 @settings(max_examples=400)
 @given(_periodic_args(), _periodic_args())
 def test_unary_ops_match_reference(a_args, b_args):
@@ -115,11 +125,44 @@ def test_unary_ops_match_reference(a_args, b_args):
     wide = UnaryLang(threshold, period, a._window(threshold + period))
     reference = ReferenceUnaryLang(threshold, period, a.__contains__)
     assert _canonical(wide) == _canonical(reference) == _canonical(a)
-    assert _canonical(a.union(b)) == _canonical(ref_a.union(ref_b))
-    assert _canonical(a.sum_set(b)) == _canonical(ref_a.sum_set(ref_b))
+    # The memoized operation, which may answer from its cache, and the
+    # uncached one both agree with the reference.
+    cases = [(UnaryLang.union, ref_a.union(ref_b)), (UnaryLang.sum_set, ref_a.sum_set(ref_b))]
     if not a.is_empty and not b.is_empty:
-        assert _canonical(a.max_set(b)) == _canonical(ref_a.max_set(ref_b))
-    assert _canonical(a.star_closure()) == _canonical(ref_a.star_closure())
+        cases.append((UnaryLang.max_set, ref_a.max_set(ref_b)))
+    for operation, expected in cases:
+        assert (_canonical(operation(a, b)) == _canonical(operation.__wrapped__(a, b))
+                == _canonical(expected))
+    assert (_canonical(a.star_closure()) == _canonical(UnaryLang.star_closure.__wrapped__(a))
+            == _canonical(ref_a.star_closure()))
+
+
+def test_eval_cm_does_not_depend_on_what_the_memos_hold():
+    # The same values whichever terms filled the caches first.
+    from synka.checks import random_term
+
+    rng = random.Random(55)
+    terms = [random_term(rng, "a", rng.randint(1, 12), allow_h=False) for _ in range(200)]
+    _clear_memos()
+    forward = [eval_cm(t) for t in terms]
+    _clear_memos()
+    backward = [eval_cm(t) for t in reversed(terms)]
+    assert forward == backward[::-1]
+
+
+def test_memos_stay_within_their_bound():
+    _clear_memos()
+    generator = UnaryLang.generator()
+    for n in range(MEMO_ENTRIES + 100):
+        single = UnaryLang.from_members((n,))
+        single.union(generator)
+        single.sum_set(generator)
+        single.max_set(generator)
+        UnaryLang.from_members((1, n)).star_closure()
+    for operation in _MEMOIZED:
+        info = operation.cache_info()
+        assert info.maxsize == MEMO_ENTRIES
+        assert info.currsize == MEMO_ENTRIES, operation.__name__
 
 
 def test_operator_priorities():

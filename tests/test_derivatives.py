@@ -4,7 +4,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reachable_terms, reference_derive, term_strategy
+from helpers import reachable_terms, reference_derive, reference_reachable_states, term_strategy
 from synka import (
     Atom,
     H,
@@ -114,8 +114,9 @@ def test_build_automaton_lists_only_reached_states():
 def test_reachable_states_sorted_by_printed_form():
     rng = random.Random(7)
     for _ in range(100):
-        states = reachable_states(random_term(rng, "ab", rng.randint(1, 9)))
-        assert list(states) == sorted(states, key=str)
+        term = random_term(rng, "ab", rng.randint(1, 9))
+        states = reachable_states(term)
+        assert states == reference_reachable_states(term)
         assert len(set(states)) == len(states)
 
 
@@ -188,6 +189,16 @@ def test_unfold_term_shape():
     from synka import Plus
 
     assert unfold_as_term(Atom("a")) == Plus(Zero(), Seq(Atom("a"), One()))
+
+
+def test_to_dot_names_each_state_by_its_printed_form():
+    term = parse_term(" & ".join(["(a+b;a)*"] * 7))
+    states = reachable_states(term)
+    lines = to_dot(term).splitlines()
+    assert lines[3:3 + len(states)] == [
+        '  "%s" [shape=%s];' % (state, "doublecircle" if nullable(state) else "circle")
+        for state in states
+    ]
 
 
 def test_to_dot():

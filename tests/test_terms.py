@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_facts, reference_postorder, sl_term_strategy, term_strategy
+from helpers import (reference_facts, reference_postorder, reference_print, sl_term_strategy,
+                     term_strategy)
 from synka import (
     Atom,
     Fragments,
@@ -37,7 +38,7 @@ from synka import (
 )
 from synka import terms
 from synka.checks import random_term
-from synka.terms import TERM_OPS, Ops, evaluate, postorder, right_associated
+from synka.terms import TERM_OPS, Ops, evaluate, postorder, printed_forms, right_associated
 
 
 def _chain(length):
@@ -354,3 +355,25 @@ def test_evaluate_of_deep_and_shared_terms():
     tree_size = Ops(plus=add, dot=add, sync=add, star=add, zero=1, one=1, h=add)
     assert evaluate(chain, tree_size, lambda _: 1) == size(chain)
     assert evaluate(_doubling(60), tree_size, lambda _: 1) == 4 * 2**60 - 3
+
+
+@given(st.lists(term_strategy("ab") | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")),
+                min_size=1, max_size=4))
+def test_printed_forms_of_terms_that_share_nodes(ts):
+    # Each term, every node of it and the terms' products, so later terms
+    # repeat nodes that earlier ones printed, some of them whole.
+    ts = [*ts, *(t for term in ts for t in postorder(term)), *(Sync(s, t) for s in ts for t in ts)]
+    assert printed_forms(ts) == [str(t) for t in ts] == [reference_print(t) for t in ts]
+
+
+def test_printed_forms_of_deep_and_shared_terms():
+    chain = _chain(5000)
+    ts = [chain, chain.left, _chain(2500), Seq(chain, chain), chain, Atom("a")]
+    assert printed_forms(ts) == [str(t) for t in ts]
+    assert printed_forms(ts)[0] == " ; ".join("ab"[i % 2] for i in range(5000))
+    # Sixteen levels of ``t & t``: 18 distinct nodes, 2^18 - 1 as a tree.
+    products = [_product_doubling(k) for k in range(16)]
+    forms = printed_forms(products)
+    assert forms == [str(t) for t in products]
+    assert forms[1] == "a & b & (a & b)"
+    assert printed_forms([]) == []
