@@ -14,34 +14,30 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "countermodel": (
-        "DAGGER", "Dagger", "HTermError", "ModelElement", "UnaryLang", "cm_dot", "cm_plus",
-        "cm_star", "cm_sync", "eval_cm", "model_leq",
+        "DAGGER", "Dagger", "ModelElement", "UnaryLang", "cm_dot", "cm_plus", "cm_star",
+        "cm_sync", "eval_cm",
     ),
     "derivatives": (
-        "derive", "member", "nullable", "reachable_states", "step", "to_dot", "transitions",
-        "unfold", "unfold_as_term",
+        "member", "nullable", "reachable_states", "step", "to_dot", "transitions", "unfold",
+        "unfold_as_term",
     ),
     "equivalence": ("DEFAULT_PAIR_CAP", "EquivResult", "StateLimitError", "equiv"),
     "language": (
         "BoundMismatchError", "BoundedLang", "SyncWord", "format_word", "lang_concat", "lang_h",
-        "lang_star", "lang_sync", "lang_union", "parse_word", "pi_lang", "pi_word",
-        "sem_bounded", "word_sync",
+        "lang_star", "lang_sync", "lang_union", "parse_word", "sem_bounded", "word_sync",
     ),
     "normalform": (
         "LinearSystem", "NotGuardedError", "build_system", "format_system", "solve",
         "to_normal_form",
     ),
-    "semilattice": (
-        "SymSet", "canonical_atom", "is_sl_term", "nonempty_subsets", "normalize_sl",
-        "parse_symset", "sl_equal", "sl_value",
-    ),
+    "semilattice": ("SymSet", "canonical_atom", "nonempty_subsets", "parse_symset", "sl_value"),
     "syntax": (
         "Fragments", "TermSyntaxError", "UnknownLetterError", "classify", "parse_term",
         "parse_term_file", "print_term",
     ),
     "terms": (
-        "Atom", "H", "One", "Ops", "Plus", "Seq", "Star", "Sync", "Term", "Zero", "evaluate",
-        "h_free", "letters", "size",
+        "Atom", "H", "HTermError", "One", "Ops", "Plus", "Seq", "Star", "Sync", "Term", "Zero",
+        "evaluate", "letters", "size",
     ),
 }
 

@@ -28,7 +28,9 @@ the one the operation computes.
 ``MODEL_OPS`` is the model as a ``terms.Ops`` record, and ``eval_cm`` is
 one ``terms.evaluate`` call with it, so each distinct subterm of a term
 that shares subterms (as solved normal forms do) is evaluated once, with
-no Python recursion.
+no Python recursion. The model interprets only the original signature,
+so ``MODEL_OPS`` has no ``h`` and a term with ``H`` raises
+``terms.HTermError``, which this module re-exports as ``HTermError``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import math
 from collections.abc import Iterable
 from typing import Union
 
-from .terms import H, Ops, Term, _operands, evaluate
+from .terms import HTermError, Ops, Term, evaluate
 
 
 # How many calls each set operation remembers; the least recently used goes first.
@@ -189,9 +191,6 @@ class UnaryLang:
         if self.cycle_bits:
             return self.threshold + _lowest(self.cycle_bits)
         return None
-
-    def members_upto(self, bound: int) -> list[int]:
-        return [n for n in range(bound + 1) if n in self]
 
     def __hash__(self) -> int:
         return self._hash
@@ -354,15 +353,6 @@ MODEL_OPS = Ops(plus=cm_plus, dot=cm_dot, sync=cm_sync, star=cm_star, zero=_EMPT
 _GENERATOR = UnaryLang.generator()
 
 
-def model_leq(k: ModelElement, l: ModelElement) -> bool:
-    """The natural order: ``k <= l`` when ``k + l = l``."""
-    return cm_plus(k, l) == l
-
-
-class HTermError(ValueError):
-    """Raised when a term containing H is evaluated in the model."""
-
-
 def eval_cm(term: Term) -> ModelElement:
     """Interpret an H-free term in the model.
 
@@ -375,14 +365,7 @@ def eval_cm(term: Term) -> ModelElement:
     ``MEMO_ENTRIES`` results each, so an operation applied to sets met
     before, in this term or an earlier one, is looked up. The walk uses no
     Python recursion, so the recursion limit does not bound the term's
-    depth. A term containing H raises ``HTermError`` naming its
-    leftmost-outermost H, found by descending into the first operand that
-    is not H-free, before anything is evaluated.
+    depth. ``MODEL_OPS`` has no ``H``, so ``evaluate`` raises
+    ``HTermError`` on a term containing H, naming its leftmost-outermost H.
     """
-    node = term
-    while not node._h_free:
-        if isinstance(node, H):
-            raise HTermError("the model does not interpret H: %s" % node)
-        node = next(c for c in _operands(node) if not c._h_free)
-
     return evaluate(term, MODEL_OPS, lambda _: _GENERATOR)

@@ -4,10 +4,11 @@
 and ``transitions`` gives a term's one-step behaviour as a table, kept on
 the node, from each symbol set the term can read to its continuation terms
 (the linear forms of Antimirov, "Partial derivatives of regular expressions
-and finite automaton constructions", 1996). It is the only function that
-encodes the derivative rules: ``derive``, the determinized ``step``, word
-``member``ship, ``unfold``, the DOT rendering, equivalence and normal forms
-all read its tables.
+and finite automaton constructions", 1996): the partial derivative of a
+term by a symbol is its table's entry for the symbol. It is the only
+function that encodes the derivative rules: the determinized ``step``,
+word ``member``ship, ``unfold``, the DOT rendering, equivalence and normal
+forms all read its tables.
 ``reachable_states`` is the closure of a term under ``transitions``, sorted
 by printed form. Together the three present a term as the initial state of
 a nondeterministic automaton whose symbols are nonempty letter sets: its
@@ -88,12 +89,6 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     return term._transitions
 
 
-def derive(term: Term, symbols: SymSet) -> frozenset[Term]:
-    """Partial derivative: the terms reachable from ``term`` by reading the
-    symbol set ``symbols`` in one step."""
-    return transitions(term).get(symbols, frozenset())
-
-
 def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
     """Determinized transition on a set of states: each symbol some state
     can read, mapped to all continuations on it."""
@@ -116,15 +111,19 @@ def member(word: tuple[SymSet, ...], term: Term) -> bool:
     return any(nullable(state) for state in current)
 
 
-def reachable_states(term: Term) -> tuple[Term, ...]:
-    """``term`` plus every term its transitions reach, in any number of
-    steps, sorted by printed form: the states of the term's automaton and
-    linear system, in the one order both are read in. The closure is found
-    with an explicit stack. The states are printed by one
-    ``printed_forms`` walk, so a node that several states share, such as
-    the ``e*`` in each ``e' ; e*``, is visited once, not once per state.
+def _printed_order(terms: Iterable[Term]) -> list[tuple[str, Term]]:
+    """Each of ``terms`` after its printed form, sorted by printed form.
+    One ``printed_forms`` walk prints them all, so a node that several
+    terms share, such as the ``e*`` in each ``e' ; e*``, is visited once.
     Distinct terms print differently, so the order is that of
-    ``sorted(states, key=str)``."""
+    ``sorted(terms, key=str)``."""
+    terms = list(terms)
+    return sorted(zip(printed_forms(terms), terms))
+
+
+def _closure(term: Term) -> set[Term]:
+    """``term`` plus every term its transitions reach, in any number of
+    steps, found with an explicit stack."""
     seen = {term}
     stack = [term]
     while stack:
@@ -133,21 +132,27 @@ def reachable_states(term: Term) -> tuple[Term, ...]:
                 if target not in seen:
                     seen.add(target)
                     stack.append(target)
-    states = list(seen)
-    forms = dict(zip(states, printed_forms(states)))
-    return tuple(sorted(states, key=forms.__getitem__))
+    return seen
+
+
+def reachable_states(term: Term) -> tuple[Term, ...]:
+    """``term`` plus every term its transitions reach, in any number of
+    steps, sorted by printed form: the states of the term's automaton and
+    linear system, in the one order both are read in."""
+    return tuple(state for _, state in _printed_order(_closure(term)))
 
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
     """One-step decomposition: the empty-word bit plus all (symbol,
     continuation) summands, sorted by symbol and then printed term. Only
-    continuations that share a symbol are printed."""
+    continuations that share a symbol are printed, in one walk per
+    symbol."""
     table = transitions(term)
     summands = []
     for symbol in sorted(table):
         targets = table[symbol]
         if len(targets) > 1:
-            targets = sorted(targets, key=str)
+            targets = [target for _, target in _printed_order(targets)]
         summands.extend((symbol, target) for target in targets)
     return nullable(term), summands
 
@@ -170,9 +175,9 @@ def to_dot(term: Term) -> str:
     def quote(text: str) -> str:
         return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
-    states = reachable_states(term)
+    forms, states = zip(*_printed_order(_closure(term)))
     order = {state: i for i, state in enumerate(states)}
-    names = [quote(form) for form in printed_forms(states)]
+    names = [quote(form) for form in forms]
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for i, state in enumerate(states):
         shape = "doublecircle" if nullable(state) else "circle"

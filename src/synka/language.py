@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .semilattice import SymSet, canonical_atom, parse_symset
+from .semilattice import SymSet, parse_symset
 from .terms import Ops, Term, evaluate
 
 SyncWord = tuple[SymSet, ...]
@@ -79,10 +79,6 @@ class BoundedLang:
     def sorted_words(self) -> list[SyncWord]:
         """Words in shortlex order (length first, then symbol order)."""
         return sorted(self.words, key=lambda w: (len(w), w))
-
-    def restrict(self, bound: int) -> BoundedLang:
-        """Drop words longer than ``bound``."""
-        return BoundedLang(bound, (w for w in self.words if len(w) <= bound))
 
     def __contains__(self, word: SyncWord) -> bool:
         return word in self.words
@@ -170,12 +166,3 @@ def sem_bounded(term: Term, bound: int) -> BoundedLang:
     return evaluate(term, ops,
                     lambda letter: BoundedLang(bound, ((SymSet(letter),),) if bound >= 1 else ()))
 
-
-def pi_word(word: SyncWord) -> tuple[Term, ...]:
-    """Replace each symbol of a word by its canonical semilattice atom."""
-    return tuple(canonical_atom(sym) for sym in word)
-
-
-def pi_lang(lang: BoundedLang) -> frozenset[tuple[Term, ...]]:
-    """Apply :func:`pi_word` to every word of a language."""
-    return frozenset(pi_word(w) for w in lang.words)

@@ -3,10 +3,11 @@
 A semilattice term is a term built from letters and ``&`` alone. Its value
 is simply the set of letters it mentions, so two semilattice terms are
 equal up to associativity, commutativity and idempotence exactly when
-their letter sets coincide. ``is_sl_term`` and ``sl_value`` each walk the
-term's distinct nodes once, in ``postorder``. ``canonical_atom`` fixes one
-representative per letter set (letters in order, nested to the left),
-which makes the value map invertible on canonical terms.
+their letter sets coincide. ``sl_value`` walks the term's distinct nodes
+once, in ``postorder``. ``canonical_atom`` fixes one representative per
+letter set (letters in order, nested to the left), which makes the value
+map invertible on canonical terms: two semilattice terms are equal up to
+ACI exactly when they have one canonical representative.
 
 A letter set, the symbol a synchronous word reads at one step, is a
 ``SymSet``: the tuple of its letters in alphabetical order. Building one
@@ -67,11 +68,6 @@ def nonempty_subsets(alphabet: Iterable[str]) -> tuple[SymSet, ...]:
     return tuple(sorted(subsets))
 
 
-def is_sl_term(term: Term) -> bool:
-    """True when ``term`` uses letters and ``&`` only."""
-    return all(type(t) in (Atom, Sync) for t in postorder(term))
-
-
 def sl_value(term: Term) -> SymSet:
     """The letter set denoted by a semilattice term.
 
@@ -100,13 +96,3 @@ def canonical_atom(symbols: SymSet) -> Term:
         term = Sync(term, Atom(letter))
     return term
 
-
-def normalize_sl(term: Term) -> Term:
-    """Rewrite a semilattice term to the canonical representative of its
-    letter set."""
-    return canonical_atom(sl_value(term))
-
-
-def sl_equal(e: Term, f: Term) -> bool:
-    """Decide equality of semilattice terms up to ACI of ``&``."""
-    return sl_value(e) == sl_value(f)

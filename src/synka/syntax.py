@@ -18,10 +18,9 @@ memory, not by the recursion limit. It reads the leaves from the text
 table in ``terms`` and the operators' symbols and binding strengths from
 the term classes, as the printer does.
 
-``classify`` reads whether a term is ``H``-free off its node, and finds
-whether it is a semilattice term and in the normal-form grammar in one
-``postorder`` walk over its distinct nodes, so neither depth nor sharing
-makes it recurse or repeat work.
+``classify`` finds whether a term is a semilattice term, ``H``-free and in
+the normal-form grammar in one ``postorder`` walk over its distinct
+nodes, so neither depth nor sharing makes it recurse or repeat work.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class Fragments(namedtuple("Fragments", "sl ska nsf")):
 
 def classify(term: Term) -> Fragments:
     """Report which grammar fragments ``term`` belongs to."""
-    sl = nsf = True
+    sl = ska = nsf = True
     for t in postorder(term):
         cls = type(t)
         if cls is Sync:
@@ -172,5 +171,6 @@ def classify(term: Term) -> Fragments:
                    and left.letter < right.letter)
         elif cls is not Atom:
             sl = False
-            nsf = nsf and cls is not H
-    return Fragments(sl=sl, ska=term._h_free, nsf=nsf)
+            if cls is H:
+                ska = nsf = False
+    return Fragments(sl=sl, ska=ska, nsf=nsf)

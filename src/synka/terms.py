@@ -14,12 +14,15 @@ is one dict access and one call. A new node is built by one method that
 sets its slots and is entered with ``dict.setdefault``, which takes no
 lock. Its reference holds the key, and one module-level callback removes
 the key when the node dies, unless a new node holds the key by then. A
-node nobody references is thus freed with all that is recorded on it:
-whether it is nullable, ``H``-free or holds a ``;`` whose left operand is
-a ``;``, set at construction from its operands' facts, and its transition
-table, filled on first use by ``derivatives``. Only the derivative
-searches and the countermodel's search for an ``H`` read these; a term's
-letters and grammar fragments are found by one walk when asked for.
+node records whether it is nullable and whether it holds a ``;`` whose
+left operand is a ``;``, set at construction from its operands' facts,
+and its transition table, filled on first use by ``derivatives``. Only
+the derivative searches read these; a term's letters and grammar
+fragments are found by one walk when asked for. A node nobody references
+is freed with all of this, and its key leaves the intern table. A star
+whose table was filled waits for the next cyclic garbage collection: the
+table's targets ``t ; star`` refer back to the star, so the star and those
+targets form a reference cycle, which only the collector frees.
 ``0``, ``1`` and the atoms are fixed instances. Pickling and copying go
 back through the constructors, so they give the same node; a pickle
 holds a flat post-order tuple of the distinct nodes, so neither depth nor
@@ -29,7 +32,8 @@ sharing makes it recurse or grow. A deep copy is the node itself.
 explicit stack; ``size``, ``letters``, the pickle encoding and
 ``evaluate``, which reads a term in any model given as an ``Ops`` record,
 all run on it, so none is bounded by the recursion limit or slowed by
-sharing.
+sharing. In a model without ``H``, ``evaluate`` raises ``HTermError`` at
+the first ``H`` it meets, naming the term's leftmost-outermost ``H``.
 ``right_associated`` nests every ``;``-chain to the right, for the
 derivative searches in ``equivalence`` and ``derivatives.member``, and
 ``printed_forms`` prints terms with minimal parentheses, in one walk over
@@ -110,7 +114,7 @@ def _enter(key: tuple, node: Term) -> Term:
 class Term:
     """Base class of all term nodes."""
 
-    __slots__ = ("_nullable", "_h_free", "_left_seq", "_transitions", "__weakref__")
+    __slots__ = ("_nullable", "_left_seq", "_transitions", "__weakref__")
 
     precedence = _PREC_LEAF
 
@@ -186,7 +190,6 @@ class _Binary(Term):
             self._nullable = left._nullable or right._nullable
         else:
             self._nullable = left._nullable and right._nullable
-        self._h_free = left._h_free and right._h_free
         self._left_seq = (left._left_seq or right._left_seq
                           or cls is Seq and type(left) is Seq)
         self._transitions = None
@@ -233,10 +236,8 @@ class _Unary(Term):
     def _build(self, inner: Term) -> None:
         if not isinstance(inner, Term):
             raise TypeError("operand must be a Term")
-        star = type(self) is Star
         self.inner = inner
-        self._nullable = star or inner._nullable
-        self._h_free = star and inner._h_free
+        self._nullable = type(self) is Star or inner._nullable
         self._left_seq = inner._left_seq
         self._transitions = None
 
@@ -257,7 +258,6 @@ class H(_Unary):
 def _leaf(cls, nullable: bool) -> Term:
     node = object.__new__(cls)
     node._nullable = nullable
-    node._h_free = True
     node._left_seq = False
     node._transitions = None
     return node
@@ -278,11 +278,6 @@ def letters(term: Term) -> frozenset[str]:
     """The set of alphabet letters occurring in ``term``, from one
     ``postorder`` walk."""
     return frozenset(t.letter for t in postorder(term) if type(t) is Atom)
-
-
-def h_free(term: Term) -> bool:
-    """True when ``term`` contains no H node."""
-    return term._h_free
 
 
 def _operands(term: Term) -> tuple[Term, ...]:
@@ -311,7 +306,9 @@ def postorder(term: Term) -> Iterator[Term]:
 class Ops(namedtuple("Ops", "plus dot sync star zero one h", defaults=(None,))):
     """A model of the term syntax: the values ``zero`` and ``one`` of ``0``
     and ``1`` and the function of each operator (``plus``, ``dot``,
-    ``sync``, ``star``, ``h``). ``h`` is ``None`` in a model without ``H``."""
+    ``sync``, ``star``, ``h``). ``h`` is ``None`` in a model without ``H``,
+    such as one of the original signature; ``evaluate`` then rejects a
+    term that contains ``H``."""
 
     __slots__ = ()
 
@@ -319,12 +316,33 @@ class Ops(namedtuple("Ops", "plus dot sync star zero one h", defaults=(None,))):
 TERM_OPS = Ops(plus=Plus, dot=Seq, sync=Sync, star=Star, zero=_ZERO, one=_ONE, h=H)
 
 
+class HTermError(ValueError):
+    """Raised when a term containing H is evaluated in a model without H."""
+
+
+def _first_h(term: Term) -> H:
+    """The leftmost-outermost ``H`` of ``term``: the first in preorder,
+    operands left to right. A node met again is skipped, as its first
+    visit found no ``H`` in it."""
+    seen: set[Term] = set()
+    stack = [term]
+    while True:
+        t = stack.pop()
+        if type(t) is H:
+            return t
+        if t not in seen:
+            seen.add(t)
+            stack.extend(reversed(_operands(t)))
+
+
 def evaluate(term: Term, ops: Ops, valuation: Callable[[str], object]) -> object:
     """The value of ``term`` in the model ``ops``, where each letter takes
     the value ``valuation(letter)``. Each distinct node is evaluated once,
-    in ``postorder``; nothing is kept between calls."""
+    in ``postorder``; nothing is kept between calls. When ``ops.h`` is
+    ``None`` and ``term`` contains ``H``, raises ``HTermError`` naming the
+    leftmost-outermost ``H``."""
     binary = {Plus: ops.plus, Seq: ops.dot, Sync: ops.sync}
-    unary = {Star: ops.star, H: ops.h}
+    unary = {Star: ops.star} if ops.h is None else {Star: ops.star, H: ops.h}
     values: dict[Term, object] = {_ZERO: ops.zero, _ONE: ops.one}
     for t in postorder(term):
         cls = type(t)
@@ -334,6 +352,8 @@ def evaluate(term: Term, ops: Ops, valuation: Callable[[str], object]) -> object
             values[t] = unary[cls](values[t.inner])
         elif cls is Atom:
             values[t] = valuation(t.letter)
+        elif cls is H:
+            raise HTermError("the model does not interpret H: %s" % _first_h(term))
     return values[term]
 
 

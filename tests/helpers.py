@@ -13,7 +13,9 @@ syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
 (``reference_solve``), normal-form grammar membership is decided by
 recursion over the term (``reference_is_nsf``), a term's facts
-(``reference_facts``, one rule per class), a
+(``reference_facts``, one rule per class), a term's leftmost-outermost
+``H`` is found by descending into the first operand that holds one
+(``reference_first_h``), a
 term's distinct nodes in post-order, bounded languages and the
 countermodel value of a term are recomputed by plain recursive tree
 walks, a term is printed by recursion over it as a tree and parsed by
@@ -57,7 +59,6 @@ from synka import (
     cm_plus,
     cm_star,
     cm_sync,
-    is_sl_term,
     lang_concat,
     lang_h,
     lang_star,
@@ -65,8 +66,8 @@ from synka import (
     lang_union,
     letters,
     nonempty_subsets,
-    normalize_sl,
     nullable,
+    sl_value,
     step,
     transitions,
 )
@@ -371,13 +372,26 @@ def reference_facts(term) -> tuple:
     return nullable, h_free, sl, nsf, left_seq, used
 
 
+def reference_first_h(term):
+    """The leftmost-outermost ``H`` of ``term``, by recursion: ``term`` when
+    it is an ``H``, else the first ``H`` of its first operand that holds
+    one; ``None`` when it holds none."""
+    if isinstance(term, H):
+        return term
+    if isinstance(term, (Plus, Seq, Sync)):
+        return reference_first_h(term.left) or reference_first_h(term.right)
+    if isinstance(term, Star):
+        return reference_first_h(term.inner)
+    return None
+
+
 def reference_is_nsf(term) -> bool:
     """Membership in the normal-form grammar by recursion over the term:
     a semilattice term must be its own canonical form."""
     if isinstance(term, (Zero, One)):
         return True
-    if is_sl_term(term):
-        return term is normalize_sl(term)
+    if reference_facts(term)[2]:
+        return term is canonical_atom(sl_value(term))
     if isinstance(term, (Plus, Seq)):
         return reference_is_nsf(term.left) and reference_is_nsf(term.right)
     if isinstance(term, Star):

@@ -28,13 +28,14 @@ from synka import (
     cm_sync,
     equiv,
     eval_cm,
-    model_leq,
+    evaluate,
     parse_term,
     to_normal_form,
     word_sync,
 )
+from synka import terms
 from synka.checks import check_countermodel, sample_model_elements
-from synka.countermodel import MEMO_ENTRIES
+from synka.countermodel import MEMO_ENTRIES, MODEL_OPS
 
 
 def test_canonical_representations():
@@ -70,25 +71,25 @@ def _random_lang(rng):
     return UnaryLang.periodic(low, threshold, period, residues)
 
 
+def _members(lang, bound):
+    return {n for n in range(bound + 1) if n in lang}
+
+
 def test_set_arithmetic_against_enumeration():
     rng = random.Random(51)
     for _ in range(200):
         a = _random_lang(rng)
         b = _random_lang(rng)
         horizon = 4 * (a.threshold + a.period + b.threshold + b.period) + 24
-        naive_a = set(a.members_upto(horizon))
-        naive_b = set(b.members_upto(horizon))
-        assert set(a.union(b).members_upto(horizon)) == naive_union(naive_a, naive_b, horizon)
-        assert set(a.sum_set(b).members_upto(horizon)) == naive_sum(naive_a, naive_b, horizon)
+        naive_a = _members(a, horizon)
+        naive_b = _members(b, horizon)
+        assert _members(a.union(b), horizon) == naive_union(naive_a, naive_b, horizon)
+        assert _members(a.sum_set(b), horizon) == naive_sum(naive_a, naive_b, horizon)
         if not a.is_empty and not b.is_empty:
-            assert set(a.max_set(b).members_upto(horizon)) == naive_max(
-                naive_a, naive_b, horizon
-            )
+            assert _members(a.max_set(b), horizon) == naive_max(naive_a, naive_b, horizon)
         star = a.star_closure()
         bigger = max(horizon, star.threshold + 2 * star.period)
-        assert set(star.members_upto(bigger)) == naive_star(
-            set(a.members_upto(bigger)), bigger
-        )
+        assert _members(star, bigger) == naive_star(_members(a, bigger), bigger)
 
 
 @st.composite
@@ -213,6 +214,10 @@ def test_eval_rejects_h_terms():
     # The error names the leftmost-outermost H.
     with pytest.raises(HTermError, match=r"H: H\(H\(b\)\)$"):
         eval_cm(parse_term("a* ; H(H(b)) + H(a)"))
+    # The model has no H, so evaluating in it directly is rejected alike.
+    with pytest.raises(HTermError, match=r"H: H\(a\*\)$"):
+        evaluate(parse_term("a + H(a*)"), MODEL_OPS, lambda _: UnaryLang.generator())
+    assert HTermError is terms.HTermError
 
 
 @settings(max_examples=200)
@@ -306,9 +311,10 @@ def test_sample_pool_contents():
 def test_leq_is_inclusion_on_languages():
     a = UnaryLang.from_members((1, 3))
     b = UnaryLang.periodic((), 1, 2, (0,))  # odd lengths
-    assert model_leq(a, b)
-    assert not model_leq(b, a)
-    assert model_leq(b, DAGGER)
+    # The natural order: k <= l when k + l = l.
+    assert cm_plus(a, b) == b
+    assert cm_plus(b, a) != a
+    assert cm_plus(b, DAGGER) is DAGGER
 
 
 def test_model_agrees_with_bounded_semantics():
@@ -324,4 +330,4 @@ def test_model_agrees_with_bounded_semantics():
         value = eval_cm(term)
         assert isinstance(value, UnaryLang)
         lengths = {len(w) for w in sem_bounded(term, bound).words}
-        assert set(value.members_upto(bound)) == lengths
+        assert _members(value, bound) == lengths

@@ -14,7 +14,6 @@ from synka import (
     SymSet,
     Sync,
     Zero,
-    derive,
     letters,
     member,
     nonempty_subsets,
@@ -47,39 +46,40 @@ def test_nullable_is_empty_word_membership():
 
 
 def test_derive_examples():
-    assert derive(Atom("a"), SymSet("a")) == frozenset((One(),))
-    assert derive(Atom("a"), SymSet("ab")) == frozenset()
+    # The partial derivative by a symbol is the table's entry for it; a
+    # symbol the term cannot read has no entry.
+    assert transitions(Atom("a")) == {SymSet("a"): frozenset((One(),))}
     # Only the split left={a}, right={b} survives on a & b; the guard
     # cases vanish since neither operand accepts the empty word.
-    assert derive(parse_term("a & b"), SymSet("ab")) == frozenset((Sync(One(), One()),))
-    assert derive(parse_term("a & b"), SymSet("a")) == frozenset()
-    assert derive(H(parse_term("a*")), SymSet("a")) == frozenset()
-    assert derive(Zero(), SymSet("a")) == frozenset()
-    assert derive(One(), SymSet("a")) == frozenset()
+    assert transitions(parse_term("a & b")) == {SymSet("ab"): frozenset((Sync(One(), One()),))}
+    assert transitions(H(parse_term("a*"))) == {}
+    assert transitions(Zero()) == {}
+    assert transitions(One()) == {}
 
 
 def test_derive_guard_cases():
     # a* & b steps on {b} because the left operand accepts the empty word.
-    term = parse_term("a* & b")
-    assert derive(term, SymSet("b")) == frozenset((One(),))
+    table = transitions(parse_term("a* & b"))
+    assert table[SymSet("b")] == frozenset((One(),))
     # ...and on {a,b} through the product split.
-    assert derive(term, SymSet("ab")) == frozenset((Sync(Seq(One(), Star(Atom("a"))), One()),))
+    assert table[SymSet("ab")] == frozenset((Sync(Seq(One(), Star(Atom("a"))), One()),))
 
 
 def test_derive_outside_support_is_empty():
     rng = random.Random(4)
     for _ in range(100):
-        term = random_term(rng, "ab", rng.randint(1, 8))
-        assert derive(term, SymSet("c")) == frozenset()
-        assert derive(term, SymSet("ac")) == frozenset()
+        table = transitions(random_term(rng, "ab", rng.randint(1, 8)))
+        assert SymSet("c") not in table
+        assert SymSet("ac") not in table
 
 
 @settings(max_examples=300)
 @given(st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(term_strategy))
 def test_derive_matches_reference(term):
     absent = min(set(string.ascii_lowercase) - letters(term))
+    table = transitions(term)
     for symbol in nonempty_subsets(letters(term) | {absent}):
-        assert derive(term, symbol) == reference_derive(term, symbol), (term, symbol)
+        assert table.get(symbol, frozenset()) == reference_derive(term, symbol), (term, symbol)
 
 
 def test_reach_examples():
@@ -98,12 +98,9 @@ def test_reach_closed_under_derivatives():
         term = random_term(rng, "ab", rng.randint(1, 9))
         reach = reachable_terms(term)
         assert set(reachable_states(term)) <= reach | {term}
-        symbols = nonempty_subsets(letters(term))
-        for symbol in symbols:
-            assert derive(term, symbol) <= reach
-        for state in reach:
-            for symbol in symbols:
-                assert derive(state, symbol) <= reach
+        for state in reach | {term}:
+            for targets in transitions(state).values():
+                assert targets <= reach
 
 
 def test_build_automaton_lists_only_reached_states():

@@ -12,13 +12,11 @@ from synka import (
     SymSet,
     Sync,
     canonical_atom,
-    is_sl_term,
+    classify,
     nonempty_subsets,
-    normalize_sl,
     parse_symset,
     parse_term,
     reachable_states,
-    sl_equal,
     sl_value,
     transitions,
 )
@@ -107,34 +105,34 @@ def test_canonical_atom_injective():
 
 
 def test_normalize_examples():
-    assert normalize_sl(parse_term("(a & a) & (c & b)")) == parse_term("(a & b) & c")
-    assert normalize_sl(Atom("a")) == Atom("a")
+    assert canonical_atom(sl_value(parse_term("(a & a) & (c & b)"))) is parse_term("(a & b) & c")
+    assert canonical_atom(sl_value(Atom("a"))) is Atom("a")
 
 
 @given(sl_term_strategy())
 def test_normalize_idempotent(term):
-    once = normalize_sl(term)
-    assert normalize_sl(once) == once
-    assert sl_equal(term, once)
+    once = canonical_atom(sl_value(term))
+    assert canonical_atom(sl_value(once)) is once
+    assert sl_value(once) == sl_value(term)
 
 
 @given(sl_term_strategy(), sl_term_strategy())
 def test_sl_equal_matches_sets_and_normal_forms(e, f):
-    assert sl_equal(e, f) == (sl_value(e) == sl_value(f))
-    if sl_equal(e, f):
-        assert normalize_sl(e) == normalize_sl(f)
+    # Equal up to ACI exactly when the canonical forms are one node.
+    same_form = canonical_atom(sl_value(e)) is canonical_atom(sl_value(f))
+    assert same_form == (sl_value(e) == sl_value(f))
 
 
 def test_sl_equal_examples():
-    assert sl_equal(parse_term("a & b"), parse_term("b & a"))
-    assert sl_equal(parse_term("(a & a) & (c & b)"), parse_term("(a & b) & c"))
-    assert not sl_equal(Atom("a"), parse_term("a & b"))
+    assert sl_value(parse_term("a & b")) == sl_value(parse_term("b & a"))
+    assert sl_value(parse_term("(a & a) & (c & b)")) == sl_value(parse_term("(a & b) & c"))
+    assert sl_value(Atom("a")) != sl_value(parse_term("a & b"))
 
 
 def test_is_sl_term():
-    assert is_sl_term(parse_term("a & (b & a)"))
-    assert not is_sl_term(parse_term("a ; b"))
-    assert not is_sl_term(parse_term("1"))
+    assert classify(parse_term("a & (b & a)")).sl
+    assert not classify(parse_term("a ; b")).sl
+    assert not classify(parse_term("1")).sl
 
 
 def test_nonempty_subsets_order():

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (reference_facts, reference_postorder, reference_print, sl_term_strategy,
-                     term_strategy)
+from helpers import (reference_facts, reference_first_h, reference_postorder, reference_print,
+                     sl_term_strategy, term_strategy)
 from synka import (
     Atom,
     Fragments,
     H,
+    HTermError,
     One,
     Plus,
     Seq,
@@ -26,8 +27,6 @@ from synka import (
     Zero,
     classify,
     equiv,
-    h_free,
-    is_sl_term,
     letters,
     nullable,
     parse_term,
@@ -110,9 +109,6 @@ def test_facts_of_deep_chain_need_no_recursion():
         assert not nullable(term)
         assert nullable(Star(term))
         assert letters(term) == frozenset(used)
-        assert h_free(term)
-        assert not h_free(H(term))
-        assert is_sl_term(term) == fragments.sl
         assert classify(term) == fragments
         assert classify(Star(term)) == Fragments(sl=False, ska=True, nsf=fragments.nsf)
         assert classify(H(term)) == Fragments(sl=False, ska=False, nsf=False)
@@ -326,7 +322,7 @@ def test_facts_match_reference(term):
     # The facts a node records, and those that walks find, at every node.
     for t in postorder(term):
         fragments = classify(t)
-        facts = (t._nullable, t._h_free, fragments.sl, fragments.nsf, t._left_seq, letters(t))
+        facts = (t._nullable, fragments.ska, fragments.sl, fragments.nsf, t._left_seq, letters(t))
         assert facts == reference_facts(t)
 
 
@@ -338,6 +334,26 @@ def test_postorder_of_deep_and_shared_terms():
 @given(term_strategy("abc") | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")))
 def test_evaluate_in_the_term_model_rebuilds_the_term(term):
     assert evaluate(term, TERM_OPS, Atom) is term
+
+
+def test_evaluate_without_h_rejects_h():
+    bare = TERM_OPS._replace(h=None)
+    with pytest.raises(HTermError, match=r"H: H\(H\(a\)\)$") as info:
+        evaluate(parse_term("H(H(a)) + H(b)"), bare, Atom)
+    assert isinstance(info.value, ValueError)
+    assert evaluate(parse_term("a ; b*"), bare, Atom) is parse_term("a ; b*")
+
+
+@given(term_strategy("ab") | st.builds(_sharing, term_strategy("ab"), term_strategy("ab")))
+def test_evaluate_without_h_names_the_leftmost_outermost_h(term):
+    first = reference_first_h(term)
+    bare = TERM_OPS._replace(h=None)
+    if first is None:
+        assert evaluate(term, bare, Atom) is term
+    else:
+        with pytest.raises(HTermError) as info:
+            evaluate(term, bare, Atom)
+        assert str(info.value) == "the model does not interpret H: %s" % first
 
 
 def test_evaluate_substitutes_letters():
