@@ -9,8 +9,9 @@ explored breadth-first, so the first acceptance conflict yields a shortest
 distinguishing word. A popped pair is skipped when it lies in the
 congruence closure of the pairs processed so far: the least relation that
 holds them and is an equivalence closed under union, since ``X ~ Y`` and
-``X' ~ Y'`` give ``X | X' ~ Y | Y'``. A union-find, their equivalence
-closure, tests first; it misses only pairs that need a union.
+``X' ~ Y'`` give ``X | X' ~ Y | Y'``. A pair with equal sides, or a
+pair processed before, lies in the closure at once; the test below
+decides the rest.
 
 The congruence test reads the processed pairs as rewriting rules: a pair
 ``(X, Y)`` rewrites a set that contains ``X`` by adding ``Y``, and one
@@ -92,43 +93,20 @@ class EquivResult(namedtuple("EquivResult", "equivalent witness", defaults=(None
         return self.equivalent
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, item):
-        parent = self.parent
-        root = item
-        while True:
-            above = parent.get(root)
-            if above is None or above == root:
-                break
-            root = above
-        while True:
-            above = parent.get(item)
-            if above is None or above == item:
-                break
-            parent[item] = root
-            item = above
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 class _Congruence:
     """The processed pairs as rewriting rules on sets of terms: a pair
     ``(X, Y)`` rewrites a set that contains ``X`` by adding ``Y``, and one
     that contains ``Y`` by adding ``X``. Two sets lie in the congruence
     closure of the pairs exactly when rewriting each as far as it goes
-    reaches every state of the other (Bonchi & Pous 2013)."""
+    reaches every state of the other (Bonchi & Pous 2013). A pair is
+    answered first by equal sides, then by being a processed pair, then by
+    the held-states test, and only past these three by rewriting."""
 
-    __slots__ = ("states", "pending", "index", "rules", "always")
+    __slots__ = ("pairs", "states", "pending", "index", "rules", "always")
 
     def __init__(self):
-        # Every state that some processed pair holds.
+        # The processed pairs, and every state that one of them holds.
+        self.pairs: set[tuple[frozenset[Term], frozenset[Term]]] = set()
         self.states: set[Term] = set()
         # The pairs added since the rules were last brought up to date.
         self.pending: list[tuple[frozenset[Term], frozenset[Term]]] = []
@@ -141,12 +119,15 @@ class _Congruence:
         self.always: frozenset[Term] = frozenset()
 
     def add(self, left: frozenset[Term], right: frozenset[Term]) -> None:
+        self.pairs.add((left, right))
         self.states |= left
         self.states |= right
         self.pending.append((left, right))
 
     def relates(self, left: frozenset[Term], right: frozenset[Term]) -> bool:
         """Whether the pair lies in the congruence closure of the pairs."""
+        if left == right or (left, right) in self.pairs:
+            return True
         # Rewriting adds only states that some pair holds, so a state on
         # one side only that no pair holds answers at once.
         if not self.states.issuperset(left ^ right):
@@ -207,7 +188,6 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     Raises :class:`StateLimitError` once more than ``pair_cap`` set pairs
     have been examined.
     """
-    uf = _UnionFind()
     congruence = _Congruence()
 
     empty: frozenset[Term] = frozenset()
@@ -219,11 +199,10 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     examined = 0
     while queue:
         left, right, word = queue.popleft()
-        if uf.find(left) == uf.find(right) or congruence.relates(left, right):
+        if congruence.relates(left, right):
             continue
         next_left = step(left)
         next_right = step(right)
-        uf.union(left, right)
         congruence.add(left, right)
         examined += 1
         if examined > pair_cap:

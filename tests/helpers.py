@@ -72,7 +72,7 @@ from synka import (
     transitions,
 )
 from synka.checks import random_term
-from synka.equivalence import EquivResult, _UnionFind
+from synka.equivalence import EquivResult
 from synka.terms import LETTERS
 
 
@@ -102,6 +102,32 @@ def brute_force_equiv(e, f) -> bool:
                 seen.add(pair)
                 stack.append(pair)
     return True
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, item):
+        parent = self.parent
+        root = item
+        while True:
+            above = parent.get(root)
+            if above is None or above == root:
+                break
+            root = above
+        while True:
+            above = parent.get(item)
+            if above is None or above == item:
+                break
+            parent[item] = root
+            item = above
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
 
 
 def reference_equiv(e, f) -> EquivResult:

@@ -103,6 +103,17 @@ def test_nf_json_reports_states(capsys):
     assert len(payload["system"]) == 7
 
 
+@pytest.mark.parametrize("term, counts", [
+    ("(a+b;a)* & (a+b;a)*", (7, 3, 22)),
+    ("a & b", (2, 1, 1)),
+])
+def test_automaton_json_counts(capsys, term, counts):
+    code, out, _ = run(capsys, "automaton", "--json", term)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["states"], payload["accepting"], payload["transitions"]) == counts
+
+
 def test_automaton_dot(tmp_path, capsys):
     target = tmp_path / "out.dot"
     code, out, _ = run(capsys, "automaton", "a & b", "--dot", str(target))

@@ -234,6 +234,17 @@ def test_congruence_prunes_the_power_pair():
     assert equiv(e, f, pair_cap=10) == EquivResult(True, None)
 
 
+@pytest.mark.parametrize("n, cap", [(8, 130), (10, 514)])
+def test_pair_cap_pins_the_examined_pairs(n, cap):
+    # The witness a^(n+1) is found on the cap-th examined pair, so one pair
+    # fewer raises. A search that skipped no popped pair would examine 2^n.
+    e = parse_term("(a+b)* ; a" + " ; (a+b)" * n)
+    f = parse_term("(a*;b*)* ; a" + " ; (a+b)" * (n - 1) + " ; b")
+    assert equiv(e, f, pair_cap=cap) == EquivResult(False, (SymSet("a"),) * (n + 1))
+    with pytest.raises(StateLimitError):
+        equiv(e, f, pair_cap=cap - 1)
+
+
 def _word_query(length):
     rng = random.Random(length)
     word = ";".join(rng.choice("ab") for _ in range(length))
