@@ -18,7 +18,7 @@ _HOMES = {
         "cm_sync", "eval_cm",
     ),
     "derivatives": (
-        "member", "nullable", "reachable_states", "step", "to_dot", "transitions", "unfold",
+        "explore", "member", "nullable", "step", "to_dot", "transitions", "unfold",
         "unfold_as_term",
     ),
     "equivalence": ("DEFAULT_PAIR_CAP", "EquivResult", "StateLimitError", "equiv"),

@@ -358,10 +358,10 @@ def check_normalform(seed: int, iters: int = 200, alphabet: str = "ab") -> list[
         classifies.record(classify(normal).nsf, lambda: "%s -> %s" % (term, normal))
         equivalent.record(equiv(normal, term).equivalent, lambda: "%s -> %s" % (term, normal))
         unsolved = None
-        for state, row in system.rows().items():
+        for state, row in zip(system.states, system.rows()):
             acc = system.vector[state]
             for target, entry in row:
-                acc = Plus(acc, Seq(entry, target))
+                acc = Plus(acc, Seq(entry, system.states[target]))
             if not equiv(acc, state).equivalent:
                 unsolved = state
                 break

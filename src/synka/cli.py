@@ -187,22 +187,22 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_automaton(args) -> int:
-    from .derivatives import nullable, reachable_states, to_dot, transitions
+    from .derivatives import explore, nullable, to_dot
 
     term = parse_term(args.term, args.alphabet)
-    states = reachable_states(term)
-    accepting = sum(map(nullable, states))
-    transition_count = sum(len(ts) for q in states for ts in transitions(q).values())
+    automaton = explore(term)
+    accepting = sum(map(nullable, automaton.states))
+    transition_count = sum(len(targets) for row in automaton.rows for _, targets in row)
     payload = {
         "command": "automaton",
         "term": print_term(term),
-        "states": len(states),
+        "states": len(automaton.states),
         "accepting": accepting,
         "transitions": transition_count,
         "dot": args.dot,
     }
     lines = [
-        "states: %d" % len(states),
+        "states: %d" % len(automaton.states),
         "accepting: %d" % accepting,
         "transitions: %d" % transition_count,
     ]

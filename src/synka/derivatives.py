@@ -9,13 +9,12 @@ term by a symbol is its table's entry for the symbol. It is the only
 function that encodes the derivative rules: the determinized ``step``,
 word ``member``ship, ``unfold``, the DOT rendering, equivalence and normal
 forms all read its tables.
-``reachable_states`` is the closure of a term under ``transitions``, sorted
-by printed form. Together the three present a term as the initial state of
-a nondeterministic automaton whose symbols are nonempty letter sets: its
-states are ``reachable_states``, its accepting states the ``nullable``
-ones and its edges the ``transitions`` tables. No other record of that
-automaton is kept; ``to_dot``, the linear systems of ``normalform`` and
-the ``automaton`` command read the three functions directly.
+``explore`` numbers a term's closure under ``transitions`` once, in
+printed order, and reads each table into a row of state indices. So the
+three present a term as the initial state of a nondeterministic automaton
+whose symbols are nonempty letter sets, with the ``nullable`` states
+accepting; ``to_dot``, the linear systems of ``normalform`` and the
+``automaton`` command read that one numbering.
 
 A table lists only the symbols its term can read, and each of them is a
 subset of the term's letters: an atom reads its own letter, and a product
@@ -25,6 +24,7 @@ included, walks the full set of nonempty letter subsets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
@@ -121,9 +121,14 @@ def _printed_order(terms: Iterable[Term]) -> list[tuple[str, Term]]:
     return sorted(zip(printed_forms(terms), terms))
 
 
-def _closure(term: Term) -> set[Term]:
-    """``term`` plus every term its transitions reach, in any number of
-    steps, found with an explicit stack."""
+Automaton = namedtuple("Automaton", "states forms start rows")
+
+
+def explore(term: Term) -> Automaton:
+    """The automaton of ``term``, numbered once: ``states`` holds ``term`` and
+    every term its transitions reach, by printed form, ``forms`` their
+    printed forms and ``start`` the index of ``term``. ``rows[i]`` lists the
+    symbols state ``i`` reads, sorted, each with its targets' sorted indices."""
     seen = {term}
     stack = [term]
     while stack:
@@ -132,14 +137,11 @@ def _closure(term: Term) -> set[Term]:
                 if target not in seen:
                     seen.add(target)
                     stack.append(target)
-    return seen
-
-
-def reachable_states(term: Term) -> tuple[Term, ...]:
-    """``term`` plus every term its transitions reach, in any number of
-    steps, sorted by printed form: the states of the term's automaton and
-    linear system, in the one order both are read in."""
-    return tuple(state for _, state in _printed_order(_closure(term)))
+    forms, states = zip(*_printed_order(seen))
+    index = {state: i for i, state in enumerate(states)}
+    rows = [[(symbol, sorted(map(index.__getitem__, table[symbol])))
+             for symbol in sorted(table)] for table in map(transitions, states)]
+    return Automaton(states, forms, index[term], rows)
 
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
@@ -175,19 +177,16 @@ def to_dot(term: Term) -> str:
     def quote(text: str) -> str:
         return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
-    forms, states = zip(*_printed_order(_closure(term)))
-    order = {state: i for i, state in enumerate(states)}
-    names = [quote(form) for form in forms]
+    automaton = explore(term)
+    names = [quote(form) for form in automaton.forms]
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    for i, state in enumerate(states):
+    for name, state in zip(names, automaton.states):
         shape = "doublecircle" if nullable(state) else "circle"
-        lines.append("  %s [shape=%s];" % (names[i], shape))
-    lines.append("  __start -> %s;" % names[order[term]])
-    for i, state in enumerate(states):
-        table = transitions(state)
-        for symbol in sorted(table):
+        lines.append("  %s [shape=%s];" % (name, shape))
+    lines.append("  __start -> %s;" % names[automaton.start])
+    for name, row in zip(names, automaton.rows):
+        for symbol, targets in row:
             label = quote(str(symbol))
-            for j in sorted(order[target] for target in table[symbol]):
-                lines.append("  %s -> %s [label=%s];" % (names[i], names[j], label))
+            lines.extend("  %s -> %s [label=%s];" % (name, names[j], label) for j in targets)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .derivatives import nullable, reachable_states, transitions
+from .derivatives import explore, nullable
 from .semilattice import canonical_atom
 from .terms import One, Plus, Seq, Star, Term, Zero
 
@@ -45,15 +45,15 @@ class LinearSystem(namedtuple("LinearSystem", "states matrix vector")):
 
     __slots__ = ()
 
-    def rows(self) -> dict[Term, list[tuple[Term, Term]]]:
-        """Each state's nonzero entries as ``(target, entry)`` pairs, the
-        states and each row's targets in state order."""
-        order = {state: i for i, state in enumerate(self.states)}
-        rows: dict[Term, list[tuple[Term, Term]]] = {state: [] for state in self.states}
+    def rows(self) -> list[list[tuple[int, Term]]]:
+        """Each state's nonzero entries as ``(target index, entry)`` pairs in
+        target order, indexed like ``states``."""
+        index = {state: i for i, state in enumerate(self.states)}
+        rows: list[list[tuple[int, Term]]] = [[] for _ in self.states]
         for (source, target), entry in self.matrix.items():
-            rows[source].append((target, entry))
-        for row in rows.values():
-            row.sort(key=lambda item: order[item[0]])
+            rows[index[source]].append((index[target], entry))
+        for row in rows:
+            row.sort()
         return rows
 
 
@@ -61,25 +61,28 @@ def build_system(term: Term) -> LinearSystem:
     """The linear system of a term over the states its transitions reach.
 
     The initial term comes first in the state order; the remaining states
-    follow in the order of ``reachable_states``, by printed form. Matrix entries sum canonical atoms in
-    symbol order and are stored row by row in state order, so equal inputs
-    build identical systems.
+    follow in the order of ``explore``, by printed form. Matrix entries sum
+    canonical atoms in symbol order and are stored row by row in state
+    order, so equal inputs build identical systems.
     """
-    states = (term, *(q for q in reachable_states(term) if q is not term))
-    order = {state: i for i, state in enumerate(states)}
+    automaton = explore(term)
+    # The start state first, then the others in printed order, and the
+    # inverse permutation: each state's position in that order.
+    order = sorted(range(len(automaton.states)), key=automaton.start.__ne__)
+    position = sorted(range(len(order)), key=order.__getitem__)
+    states = tuple(automaton.states[i] for i in order)
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
-    for source in states:
+    for source, i in zip(states, order):
         vector[source] = One() if nullable(source) else Zero()
-        sums: dict[Term, Term] = {}
-        table = transitions(source)
-        for symbol in sorted(table):
+        sums: dict[int, Term] = {}
+        for symbol, targets in automaton.rows[i]:
             atom = canonical_atom(symbol)
-            for target in table[symbol]:
-                seen = sums.get(target)
-                sums[target] = atom if seen is None else Plus(seen, atom)
-        for target in sorted(sums, key=order.__getitem__):
-            matrix[(source, target)] = sums[target]
+            for j in targets:
+                seen = sums.get(j)
+                sums[j] = atom if seen is None else Plus(seen, atom)
+        for j in sorted(sums, key=position.__getitem__):
+            matrix[(source, automaton.states[j])] = sums[j]
     return LinearSystem(states=states, matrix=matrix, vector=vector)
 
 
@@ -162,16 +165,14 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
     applied while building terms; nothing else is rewritten.
     """
     states = system.states
-    index = {state: i for i, state in enumerate(states)}
     # Each state's (summand, target) pairs, in target order.
     edges: list[list[tuple[Term, int]]] = []
-    for source, row in system.rows().items():
+    for source, row in zip(states, system.rows()):
         for target, entry in row:
             if nullable(entry):
-                raise NotGuardedError(
-                    "matrix entry (%s, %s) = %s accepts the empty word" % (source, target, entry)
-                )
-        edges.append([(s, index[t]) for t, entry in row for s in _summands(entry)])
+                raise NotGuardedError("matrix entry (%s, %s) = %s accepts the empty word"
+                                      % (source, states[target], entry))
+        edges.append([(s, t) for t, entry in row for s in _summands(entry)])
     classes = _bisimulation_classes([system.vector[state] for state in states], edges)
 
     # The quotient system over class numbers: one sparse row per class, from
@@ -232,8 +233,8 @@ def format_system(system: LinearSystem) -> str:
     """Tabular rendering: one row per state with its vector entry and the
     nonzero matrix entries."""
     lines = []
-    for source, row in system.rows().items():
+    for source, row in zip(system.states, system.rows()):
         cells = ["state %s" % source, "out %s" % system.vector[source]]
-        cells.extend("[%s] %s" % item for item in row)
+        cells.extend("[%s] %s" % (system.states[target], entry) for target, entry in row)
         lines.append(" | ".join(cells))
     return "\n".join(lines)

@@ -216,7 +216,7 @@ def reference_derive(term, symbols: SymSet) -> frozenset:
 def reachable_terms(term: Term) -> frozenset[Term]:
     """A finite set containing every term reachable from ``term`` by
     iterated derivatives (the term itself may be absent): a syntactic
-    over-approximation of ``reachable_states``."""
+    over-approximation of ``explore(term).states``."""
     if isinstance(term, Zero):
         return frozenset()
     if isinstance(term, One):

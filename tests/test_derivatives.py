@@ -14,13 +14,13 @@ from synka import (
     SymSet,
     Sync,
     Zero,
+    explore,
     letters,
     member,
     nonempty_subsets,
     nullable,
     parse_term,
     parse_word,
-    reachable_states,
     sem_bounded,
     to_dot,
     transitions,
@@ -97,7 +97,7 @@ def test_reach_closed_under_derivatives():
     for _ in range(150):
         term = random_term(rng, "ab", rng.randint(1, 9))
         reach = reachable_terms(term)
-        assert set(reachable_states(term)) <= reach | {term}
+        assert set(explore(term).states) <= reach | {term}
         for state in reach | {term}:
             for targets in transitions(state).values():
                 assert targets <= reach
@@ -105,16 +105,34 @@ def test_reach_closed_under_derivatives():
 
 def test_build_automaton_lists_only_reached_states():
     # The syntactic over-approximation lists 31 states here.
-    assert len(reachable_states(parse_term("(a+b;a)* & (a+b;a)*"))) == 7
+    assert len(explore(parse_term("(a+b;a)* & (a+b;a)*")).states) == 7
 
 
 def test_reachable_states_sorted_by_printed_form():
     rng = random.Random(7)
     for _ in range(100):
         term = random_term(rng, "ab", rng.randint(1, 9))
-        states = reachable_states(term)
+        states = explore(term).states
         assert states == reference_reachable_states(term)
         assert len(set(states)) == len(states)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(["a", "ab", "abc"]).flatmap(term_strategy))
+def test_explore_numbers_the_tables(term):
+    automaton = explore(term)
+    states = automaton.states
+    assert states == reference_reachable_states(term)
+    assert states[automaton.start] is term
+    assert list(automaton.forms) == [str(state) for state in states]
+    assert len(automaton.rows) == len(states)
+    index = {state: i for i, state in enumerate(states)}
+    for state, row in zip(states, automaton.rows):
+        table = transitions(state)
+        assert row == [(symbol, sorted(index[t] for t in table[symbol]))
+                       for symbol in sorted(table)]
+    edges = sum(len(targets) for row in automaton.rows for _, targets in row)
+    assert edges == sum(len(targets) for q in states for targets in transitions(q).values())
 
 
 def test_reach_finite_on_large_terms():
@@ -125,13 +143,13 @@ def test_reach_finite_on_large_terms():
 
 
 def test_build_automaton_zero():
-    assert reachable_states(Zero()) == (Zero(),)
+    assert explore(Zero()).states == (Zero(),)
     assert transitions(Zero()) == {}
     assert not nullable(Zero())
 
 
 def test_build_automaton_letter():
-    assert reachable_states(Atom("a")) == (One(), Atom("a"))
+    assert explore(Atom("a")).states == (One(), Atom("a"))
     assert transitions(Atom("a")) == {SymSet("a"): frozenset((One(),))}
     assert transitions(One()) == {}
     assert nullable(One()) and not nullable(Atom("a"))
@@ -139,7 +157,7 @@ def test_build_automaton_letter():
 
 def test_automaton_state_bound():
     term = parse_term("(a+b)* & (a+b)*")
-    assert len(reachable_states(term)) <= len(reachable_terms(term)) + 1
+    assert len(explore(term).states) <= len(reachable_terms(term)) + 1
 
 
 def test_accepts_examples():
@@ -190,7 +208,7 @@ def test_unfold_term_shape():
 
 def test_to_dot_names_each_state_by_its_printed_form():
     term = parse_term(" & ".join(["(a+b;a)*"] * 7))
-    states = reachable_states(term)
+    states = explore(term).states
     lines = to_dot(term).splitlines()
     assert lines[3:3 + len(states)] == [
         '  "%s" [shape=%s];' % (state, "doublecircle" if nullable(state) else "circle")

@@ -135,6 +135,29 @@ def test_solve_arden_instance():
     assert equiv(Plus(Seq(Atom("a"), solution[q]), One()), solution[q]).equivalent
 
 
+def test_rows_and_solve_ignore_matrix_insertion_order():
+    # The same three-state system with its matrix entered row by row and in
+    # reverse: rows are (target index, entry) pairs in target order either way.
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    a, b = Atom("a"), Atom("b")
+    entries = [((p, q), a), ((p, r), b), ((q, p), b), ((q, q), a), ((r, p), a),
+               ((r, r), Plus(a, b))]
+    vector = {p: Zero(), q: One(), r: One()}
+    forward = LinearSystem(states=(p, q, r), matrix=dict(entries), vector=vector)
+    backward = LinearSystem(states=(p, q, r), matrix=dict(reversed(entries)), vector=vector)
+    rows = [[(1, a), (2, b)], [(0, b), (1, a)], [(0, a), (2, Plus(a, b))]]
+    assert forward.rows() == backward.rows() == rows
+    assert format_system(backward) == format_system(forward) == "\n".join([
+        "state p | out 0 | [q] a | [r] b",
+        "state q | out 1 | [p] b | [q] a",
+        "state r | out 1 | [p] a | [r] a + b",
+    ])
+    solutions = [[(state, print_term(t)) for state, t in solve(system).items()]
+                 for system in (forward, backward)]
+    assert solutions[0] == solutions[1]
+    assert solutions[0][0] == (p, "(a ; a* ; b + b ; (a + b)* ; a)* ; (b ; (a + b)* + a ; a*)")
+
+
 def test_solve_rejects_unguarded():
     q = Atom("q")
     system = LinearSystem(

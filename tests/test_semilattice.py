@@ -13,10 +13,10 @@ from synka import (
     Sync,
     canonical_atom,
     classify,
+    explore,
     nonempty_subsets,
     parse_symset,
     parse_term,
-    reachable_states,
     sl_value,
     transitions,
 )
@@ -55,7 +55,7 @@ def test_symset_is_its_sorted_letters(a, b):
 
 @given(term_strategy("abc"), term_strategy("bcd"))
 def test_transition_symbols_are_symsets(e, f):
-    for q in reachable_states(Sync(e, f)):
+    for q in explore(Sync(e, f)).states:
         for symbol in transitions(q):
             assert type(symbol) is SymSet
             assert str(symbol) == "{%s}" % ",".join(symbol)
