@@ -208,7 +208,7 @@ def _cmd_automaton(args) -> int:
     ]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(to_dot(term))
+            handle.write(to_dot(automaton))
         lines.append("wrote %s" % args.dot)
     _emit(args, payload, lines)
     return 0

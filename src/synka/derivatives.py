@@ -29,8 +29,7 @@ from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 from .semilattice import SymSet, canonical_atom
-from .terms import (Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, printed_forms,
-                    right_associated)
+from .terms import Atom, H, One, Plus, Seq, Star, Sync, Term, Zero, printed_forms, then
 
 
 def nullable(term: Term) -> bool:
@@ -51,8 +50,11 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     A product ``e & f`` reads the union of one symbol of each operand and
     continues with the product of their continuations; it also steps as
     ``e`` alone when ``f`` accepts the empty word, and as ``f`` alone when
-    ``e`` does. The table is built once per node, kept on it, shared by
-    every caller and read-only.
+    ``e`` does. The continuations of ``e ; f`` and ``e*`` are built by
+    ``then``, so every state reached from a right-nested term is nested
+    to the right too; a ``;`` whose left operand is a ``;`` takes the table
+    of its chain nested to the right. The table is built once per node,
+    kept on it, shared by every caller and read-only.
     """
     cached = term._transitions
     if cached is not None:
@@ -64,13 +66,17 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
         _merge(table, transitions(term.left))
         _merge(table, transitions(term.right))
     elif isinstance(term, Seq):
+        if type(term.left) is Seq:
+            # The rule's table, without recursing down the left spine.
+            term._transitions = transitions(then(term.left, term.right))
+            return term._transitions
         for symbol, targets in transitions(term.left).items():
-            table[symbol] = frozenset(Seq(t, term.right) for t in targets)
+            table[symbol] = frozenset(then(t, term.right) for t in targets)
         if nullable(term.left):
             _merge(table, transitions(term.right))
     elif isinstance(term, Star):
         for symbol, targets in transitions(term.inner).items():
-            table[symbol] = frozenset(Seq(t, term) for t in targets)
+            table[symbol] = frozenset(then(t, term) for t in targets)
     elif isinstance(term, Sync):
         lefts = transitions(term.left)
         rights = transitions(term.right)
@@ -100,10 +106,10 @@ def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
 
 def member(word: tuple[SymSet, ...], term: Term) -> bool:
     """Word membership by iterated derivatives; no automaton is built. A
-    symbol no current state can read rejects immediately. The steps start
-    from ``right_associated(term)``, whose states each need O(1) new nodes,
-    so a word and a ``;``-chain of any length are answered."""
-    current: frozenset[Term] | None = frozenset((right_associated(term),))
+    symbol no current state can read rejects immediately. A state derived
+    from a ``;``-chain needs O(1) new nodes, so a word and a chain of any
+    length, nested either way, are answered."""
+    current: frozenset[Term] | None = frozenset((term,))
     for symbol in word:
         current = step(current).get(symbol)
         if not current:
@@ -169,15 +175,14 @@ def unfold_as_term(term: Term) -> Term:
     return acc
 
 
-def to_dot(term: Term) -> str:
-    """Render the automaton of ``term`` in Graphviz DOT format: one node
-    per reachable state, accepting states double-circled, and one edge per
+def to_dot(automaton: Automaton) -> str:
+    """Render an automaton that ``explore`` returned in Graphviz DOT format:
+    one node per state, accepting states double-circled, and one edge per
     transition, labelled with its symbol set."""
 
     def quote(text: str) -> str:
         return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
-    automaton = explore(term)
     names = [quote(form) for form in automaton.forms]
     lines = ["digraph {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for name, state in zip(names, automaton.states):

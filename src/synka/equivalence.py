@@ -41,13 +41,11 @@ that is trivially language-equal, so no shortest distinguishing word can
 use one and skipping it changes neither the search order nor the count of
 examined pairs.
 
-The search starts from ``right_associated`` copies of both terms. The
-parser nests ``;`` to the left, and every derivative of a left-nested
-chain of n letters is a fresh chain of about n nodes whose table is built
-through all n levels; a right-nested chain derives states that need O(1)
-new nodes each, and its tables are built without recursing down the
-chain. A term with no left-nested ``;`` is its own copy, so tables that
-were built on it before are reused.
+The search starts from the terms as given. The parser nests ``;`` to the
+right, and a right-nested chain derives states that need O(1) new nodes
+each, whose tables are built without recursing down the chain; a chain
+nested to the left by written parentheses takes the table of the same
+chain nested to the right.
 
 The witness does not depend on how the states are represented, nor on
 which pairs are skipped: it is the shortlex-least word (shortest, then
@@ -70,7 +68,7 @@ from collections import defaultdict, deque, namedtuple
 from operator import attrgetter
 
 from .derivatives import step
-from .terms import Term, right_associated
+from .terms import Term
 
 # A term's ``nullable`` fact, read straight off its node.
 _nullable = attrgetter("_nullable")
@@ -191,8 +189,8 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
     congruence = _Congruence()
 
     empty: frozenset[Term] = frozenset()
-    left = frozenset((right_associated(e),))
-    right = frozenset((right_associated(f),))
+    left = frozenset((e,))
+    right = frozenset((f,))
     if any(map(_nullable, left)) != any(map(_nullable, right)):
         return EquivResult(False, ())
     queue: deque[tuple[frozenset[Term], frozenset[Term], tuple | None]] = deque([(left, right, None)])

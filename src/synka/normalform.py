@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .derivatives import explore, nullable
 from .semilattice import canonical_atom
-from .terms import One, Plus, Seq, Star, Term, Zero
+from .terms import One, Plus, Star, Term, Zero, then
 
 
 class NotGuardedError(ValueError):
@@ -73,11 +73,15 @@ def build_system(term: Term) -> LinearSystem:
     states = tuple(automaton.states[i] for i in order)
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
+    # Each symbol's canonical atom, built once per call.
+    atoms = {}
     for source, i in zip(states, order):
         vector[source] = One() if nullable(source) else Zero()
         sums: dict[int, Term] = {}
         for symbol, targets in automaton.rows[i]:
-            atom = canonical_atom(symbol)
+            atom = atoms.get(symbol)
+            if atom is None:
+                atom = atoms[symbol] = canonical_atom(symbol)
             for j in targets:
                 seen = sums.get(j)
                 sums[j] = atom if seen is None else Plus(seen, atom)
@@ -101,7 +105,7 @@ def _seq(a: Term, b: Term) -> Term:
         return b
     if isinstance(b, One):
         return a
-    return Seq(a, b)
+    return then(a, b)
 
 
 def _star(a: Term) -> Term:
@@ -162,7 +166,8 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
     the first one; every state gets its class's solution. When every entry
     of the system is in normal form, so is every entry of the solution.
     Unit laws for ``0`` and ``1`` and ``x + x = x`` for one node ``x`` are
-    applied while building terms; nothing else is rewritten.
+    applied while building terms, and a ``;`` is built by ``then``, so its
+    chain nests to the right; nothing else is rewritten.
     """
     states = system.states
     # Each state's (summand, target) pairs, in target order.

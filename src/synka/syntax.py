@@ -1,10 +1,11 @@
 """Concrete syntax: parser, printer and grammar fragment classification.
 
-Grammar (binary operators left-associative, ``*`` binds tightest):
+Grammar (``+`` and ``&`` associate to the left, ``;`` to the right, ``*``
+binds tightest):
 
     term    := sync ('+' sync)*
     sync    := chain ('&' chain)*
-    chain   := starred (';' starred)*
+    chain   := starred (';' chain)?
     starred := primary '*'*
     primary := '0' | '1' | letter | 'H' '(' term ')' | '(' term ')'
 
@@ -100,10 +101,11 @@ def parse_term(text: str, alphabet: str | frozenset[str] | None = None) -> Term:
             operands[-1] = Star(operands[-1])
         else:
             # A binary operator reduces the operators that bind at least as
-            # tightly (all associate to the left); anything else ends the
-            # innermost group, or the whole term, and reduces all of it.
+            # tightly, or, for the right-associative ``;``, more tightly;
+            # anything else ends the innermost group, or the whole term, and
+            # reduces all of it, right to left.
             cls = _BINARY.get(ch)
-            floor = cls.precedence if cls is not None else 0
+            floor = 0 if cls is None else cls.precedence + (cls is Seq)
             while operators:
                 top = operators[-1]
                 if type(top) is str or top.precedence < floor:

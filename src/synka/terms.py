@@ -14,11 +14,10 @@ is one dict access and one call. A new node is built by one method that
 sets its slots and is entered with ``dict.setdefault``, which takes no
 lock. Its reference holds the key, and one module-level callback removes
 the key when the node dies, unless a new node holds the key by then. A
-node records whether it is nullable and whether it holds a ``;`` whose
-left operand is a ``;``, set at construction from its operands' facts,
-and its transition table, filled on first use by ``derivatives``. Only
-the derivative searches read these; a term's letters and grammar
-fragments are found by one walk when asked for. A node nobody references
+node records whether it is nullable, set at construction from its
+operands, and its transition table, filled on first use by
+``derivatives``. Only the derivative searches read these; a term's
+letters and grammar fragments are found by one walk when asked for. A node nobody references
 is freed with all of this, and its key leaves the intern table. A star
 whose table was filled waits for the next cyclic garbage collection: the
 table's targets ``t ; star`` refer back to the star, so the star and those
@@ -34,12 +33,15 @@ explicit stack; ``size``, ``letters``, the pickle encoding and
 all run on it, so none is bounded by the recursion limit or slowed by
 sharing. In a model without ``H``, ``evaluate`` raises ``HTermError`` at
 the first ``H`` it meets, naming the term's leftmost-outermost ``H``.
-``right_associated`` nests every ``;``-chain to the right, for the
-derivative searches in ``equivalence`` and ``derivatives.member``, and
-``printed_forms`` prints terms with minimal parentheses, in one walk over
-all of them, so a node the terms share is visited once (``str`` is that
-walk over one term); each walks a stack of its own, as it needs more than
-the operands-first order.
+``;`` is associative, and a chain is nested to the right: the parser
+builds ``a ; b ; c`` as ``a ; (b ; c)``, and ``then(first, rest)`` builds
+``first ; rest`` with the chain of ``first`` nested to the right, for the
+continuations of ``derivatives.transitions`` and the normal forms of
+``normalform``. So a state derived from a chain adds O(1) new nodes, not
+a fresh copy of the chain. ``printed_forms`` prints terms with minimal
+parentheses, in one walk over all of them, so a node the terms share is
+visited once (``str`` is that walk over one term); each walks a stack of
+its own, as it needs more than the operands-first order.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def sorted_letters(letters: Iterable[str]) -> tuple[str, ...]:
 
 
 # Binding strength for minimal-parenthesis printing; higher binds tighter.
-# All binary operators associate to the left.
+# ``+`` and ``&`` associate to the left, ``;`` to the right.
 _PREC_PLUS = 1
 _PREC_SYNC = 2
 _PREC_SEQ = 3
@@ -114,7 +116,7 @@ def _enter(key: tuple, node: Term) -> Term:
 class Term:
     """Base class of all term nodes."""
 
-    __slots__ = ("_nullable", "_left_seq", "_transitions", "__weakref__")
+    __slots__ = ("_nullable", "_transitions", "__weakref__")
 
     precedence = _PREC_LEAF
 
@@ -190,8 +192,6 @@ class _Binary(Term):
             self._nullable = left._nullable or right._nullable
         else:
             self._nullable = left._nullable and right._nullable
-        self._left_seq = (left._left_seq or right._left_seq
-                          or cls is Seq and type(left) is Seq)
         self._transitions = None
 
 
@@ -238,7 +238,6 @@ class _Unary(Term):
             raise TypeError("operand must be a Term")
         self.inner = inner
         self._nullable = type(self) is Star or inner._nullable
-        self._left_seq = inner._left_seq
         self._transitions = None
 
 
@@ -258,7 +257,6 @@ class H(_Unary):
 def _leaf(cls, nullable: bool) -> Term:
     node = object.__new__(cls)
     node._nullable = nullable
-    node._left_seq = False
     node._transitions = None
     return node
 
@@ -366,47 +364,27 @@ def size(term: Term) -> int:
     return counts[term]
 
 
-def right_associated(term: Term) -> Term:
-    """``term`` with every ``;``-chain nested to the right, so ``(a ; b) ; c``
-    becomes ``a ; (b ; c)``. ``;`` is associative, so the language is the
-    same. A term with no ``;`` whose left operand is a ``;`` is returned
-    itself. The walk uses an explicit stack and flattens each distinct
-    maximal chain once, so it is linear in the term's size as a tree."""
-    if not term._left_seq:
-        return term
-    done: dict[Term, Term] = {}
-    stack: list = [(term, None)]
-    while stack:
-        t, parts = stack.pop()
-        if parts is not None:
-            if type(t) is Seq:
-                acc = done[parts[-1]]
-                for part in reversed(parts[:-1]):
-                    acc = Seq(done[part], acc)
-                done[t] = acc
-            else:
-                done[t] = type(t)(*(done[c] for c in parts))
-        elif t not in done:
-            if not t._left_seq:
-                done[t] = t
-                continue
-            if type(t) is Seq:
-                # The chain's factors, left to right: its nodes that are
-                # not themselves a ``;``.
-                parts = []
-                pending = [t]
-                while pending:
-                    node = pending.pop()
-                    if type(node) is Seq:
-                        pending.append(node.right)
-                        pending.append(node.left)
-                    else:
-                        parts.append(node)
-            else:
-                parts = _operands(t)
-            stack.append((t, parts))
-            stack.extend((c, None) for c in parts)
-    return done[term]
+def then(first: Term, rest: Term) -> Term:
+    """``first ; rest`` with the ``;``-chain of ``first`` nested to the right,
+    so ``then((a ; b) ; c, d)`` is ``a ; (b ; (c ; d))``. ``;`` is
+    associative, so the language is that of ``Seq(first, rest)``. A
+    ``first`` that is not a ``;`` costs one constructor call; a chain is
+    walked over an explicit stack."""
+    if type(first) is not Seq:
+        return Seq(first, rest)
+    # The chain's factors, left to right: its nodes that are not a ``;``.
+    factors = []
+    pending = [first]
+    while pending:
+        node = pending.pop()
+        if type(node) is Seq:
+            pending.append(node.right)
+            pending.append(node.left)
+        else:
+            factors.append(node)
+    for factor in reversed(factors):
+        rest = Seq(factor, rest)
+    return rest
 
 
 def _flatten(term: Term) -> tuple:
@@ -447,7 +425,8 @@ _LEAVES = {text: leaf for leaf, text in _TEXT.items()}
 def printed_forms(terms: Iterable[Term]) -> list[str]:
     """Each of ``terms`` rendered with minimal parentheses, in order: a
     child is parenthesised when it binds looser than its parent, or as
-    tight in a right slot.
+    tight in the slot its parent does not associate to: the left slot of
+    a ``;``, the right slot of a ``+`` or ``&``.
 
     One walk prints them all. It uses an explicit stack and appends
     fragments to one list. The first time it prints a compound node it
@@ -501,8 +480,10 @@ def printed_forms(terms: Iterable[Term]) -> list[str]:
                 else:
                     prec = cls.precedence
                     left, right = item.left, item.right
-                    lw = left.precedence < prec
-                    rw = right.precedence <= prec
+                    # ``;`` associates to the right, ``+`` and ``&`` to the left.
+                    seq = cls is Seq
+                    lw = left.precedence < prec + seq
+                    rw = right.precedence <= prec - seq
                     if rw:
                         push(")")
                     push(_TEXT.get(right, right))

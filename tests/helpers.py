@@ -3,11 +3,11 @@
 The oracles here deliberately avoid the code paths they are used to
 check: equivalence is re-decided by materialized subset construction over
 a product and by ``reference_equiv``, the pair search up to equivalence
-alone, started from the terms as given rather than from their
-right-associated copies,
-derivatives are recomputed one symbol at a time by enumerating product
-splits, the reached states are closed by recursion and sorted by each
-state's own printed form (``reference_reachable_states``), linear
+alone, derivatives are recomputed one symbol at a time by enumerating
+product splits, with each continuation's ``;``-chain nested to the right
+by recursion (``reference_then``), the reached states are closed by
+recursion and sorted by each state's own printed form
+(``reference_reachable_states``), linear
 systems are built over ``reachable_terms``, a
 syntactic over-approximation of the reachable states, and solved by
 eliminating every state on the total matrix, with no states merged
@@ -131,10 +131,10 @@ class _UnionFind:
 
 
 def reference_equiv(e, f) -> EquivResult:
-    """``equiv`` as it was before it pruned up to congruence and
-    right-associated its inputs: the breadth-first pair search that skips a
-    pair only when a union-find relates it, tests acceptance as each pair
-    is popped, and starts from ``e`` and ``f`` themselves."""
+    """``equiv`` as it was before it pruned up to congruence: the
+    breadth-first pair search that skips a pair only when a union-find
+    relates it, tests acceptance as each pair is popped, and starts from
+    ``e`` and ``f`` themselves."""
     uf = _UnionFind()
     expanded: dict = {}
 
@@ -175,6 +175,37 @@ def _splits(symbols: SymSet):
             yield SymSet(left), SymSet(right)
 
 
+def reference_then(first, rest):
+    """``first ; rest`` with the ``;``-chain of ``first`` nested to the
+    right, by recursion: ``(x ; y) ; rest`` is ``x ; (y ; rest)``."""
+    if isinstance(first, Seq):
+        return reference_then(first.left, reference_then(first.right, rest))
+    return Seq(first, rest)
+
+
+def reference_right_nested(term):
+    """``term`` with every ``;``-chain nested to the right, by recursion."""
+    if isinstance(term, Seq):
+        return reference_then(reference_right_nested(term.left), reference_right_nested(term.right))
+    if isinstance(term, (Plus, Sync)):
+        return type(term)(reference_right_nested(term.left), reference_right_nested(term.right))
+    if isinstance(term, (Star, H)):
+        return type(term)(reference_right_nested(term.inner))
+    return term
+
+
+def right_nested(term) -> bool:
+    """Whether no ``;`` in ``term`` has a ``;`` as its left operand, by
+    recursion over the term."""
+    if isinstance(term, (Plus, Seq, Sync)):
+        if isinstance(term, Seq) and isinstance(term.left, Seq):
+            return False
+        return right_nested(term.left) and right_nested(term.right)
+    if isinstance(term, (Star, H)):
+        return right_nested(term.inner)
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def reference_derive(term, symbols: SymSet) -> frozenset:
     """Partial derivative by one symbol, computed by structural recursion
@@ -188,12 +219,12 @@ def reference_derive(term, symbols: SymSet) -> frozenset:
     if isinstance(term, Plus):
         return reference_derive(term.left, symbols) | reference_derive(term.right, symbols)
     if isinstance(term, Seq):
-        out = {Seq(t, term.right) for t in reference_derive(term.left, symbols)}
+        out = {reference_then(t, term.right) for t in reference_derive(term.left, symbols)}
         if nullable(term.left):
             out |= reference_derive(term.right, symbols)
         return frozenset(out)
     if isinstance(term, Star):
-        return frozenset(Seq(t, term) for t in reference_derive(term.inner, symbols))
+        return frozenset(reference_then(t, term) for t in reference_derive(term.inner, symbols))
     if isinstance(term, Sync):
         out = set()
         if nullable(term.right):
@@ -228,10 +259,10 @@ def reachable_terms(term: Term) -> frozenset[Term]:
     if isinstance(term, Plus):
         return reachable_terms(term.left) | reachable_terms(term.right)
     if isinstance(term, Seq):
-        out = {Seq(t, term.right) for t in reachable_terms(term.left)}
+        out = {reference_then(t, term.right) for t in reachable_terms(term.left)}
         return frozenset(out) | reachable_terms(term.right)
     if isinstance(term, Star):
-        out = {Seq(t, term) for t in reachable_terms(term.inner)}
+        out = {reference_then(t, term) for t in reachable_terms(term.inner)}
         out.add(One())
         return frozenset(out)
     if isinstance(term, Sync):
@@ -368,34 +399,30 @@ def reference_postorder(term) -> list:
 
 def reference_facts(term) -> tuple:
     """The facts of ``term`` (nullable, ``H``-free, semilattice term, in the
-    normal-form grammar, holds a ``;`` whose left operand is a ``;``,
-    letters), by recursion over the term:
+    normal-form grammar, letters), by recursion over the term:
     a binary node starts from the rules that ``+``, ``;`` and ``&`` share,
     and its class then replaces the ones it changes."""
     if isinstance(term, (Zero, One)):
-        return isinstance(term, One), True, False, True, False, frozenset()
+        return isinstance(term, One), True, False, True, frozenset()
     if isinstance(term, Atom):
-        return False, True, True, True, False, frozenset(term.letter)
+        return False, True, True, True, frozenset(term.letter)
     if isinstance(term, (Star, H)):
-        nullable, h_free, _, nsf, left_seq, used = reference_facts(term.inner)
+        nullable, h_free, _, nsf, used = reference_facts(term.inner)
         if isinstance(term, Star):
-            return True, h_free, False, nsf, left_seq, used
-        return nullable, False, False, False, left_seq, used
+            return True, h_free, False, nsf, used
+        return nullable, False, False, False, used
     left, right = reference_facts(term.left), reference_facts(term.right)
     nullable = left[0] and right[0]
     h_free = left[1] and right[1]
     sl = False
     nsf = left[3] and right[3]
-    left_seq = left[4] or right[4]
-    used = left[5] | right[5]
+    used = left[4] | right[4]
     if isinstance(term, Plus):
         nullable = left[0] or right[0]
     elif isinstance(term, Sync):
         sl = left[2] and right[2]
-        nsf = left[2] and left[3] and type(term.right) is Atom and term.right.letter > max(left[5])
-    else:
-        left_seq = left_seq or type(term.left) is Seq
-    return nullable, h_free, sl, nsf, left_seq, used
+        nsf = left[2] and left[3] and type(term.right) is Atom and term.right.letter > max(left[4])
+    return nullable, h_free, sl, nsf, used
 
 
 def reference_first_h(term):
@@ -476,11 +503,12 @@ def reference_eval_cm(term):
 def reference_print(term) -> str:
     """A term printed by recursion over it as a tree, with minimal
     parentheses: a child is parenthesised when it binds looser than its
-    parent, or as tight in a right slot."""
+    parent, or as tight in the slot its parent does not associate to. ``;``
+    associates to the right, ``+`` and ``&`` to the left."""
 
     def child(parent, node, right_slot=False):
         need = node.precedence < parent.precedence or (
-            right_slot and node.precedence == parent.precedence
+            right_slot != isinstance(parent, Seq) and node.precedence == parent.precedence
         )
         return "(%s)" % reference_print(node) if need else reference_print(node)
 
@@ -561,12 +589,11 @@ def _parse_sync(tokens: _Tokens) -> Term:
 
 def _parse_chain(tokens: _Tokens) -> Term:
     term = _parse_starred(tokens)
-    while True:
-        ch, _ = tokens.peek()
-        if ch != ";":
-            return term
-        tokens.advance()
-        term = Seq(term, _parse_starred(tokens))
+    ch, _ = tokens.peek()
+    if ch != ";":
+        return term
+    tokens.advance()
+    return Seq(term, _parse_chain(tokens))
 
 
 def _parse_starred(tokens: _Tokens) -> Term:

@@ -1,4 +1,5 @@
 import json
+import random
 import os
 import subprocess
 import sys
@@ -165,15 +166,27 @@ def test_check_all_suites_quick(capsys):
 
 
 def test_deep_chain_is_a_resource_error(capsys):
-    # ``equiv`` steps over right-associated chains, so it answers a chain
-    # of any length; ``nf`` builds the left-nested chain's transition
-    # table by recursion, which overflows at 3000 letters.
+    # A ``;``-chain's states need O(1) new nodes each, whether it is written
+    # nested to the right or to the left, so ``equiv``, ``nf`` and
+    # ``automaton`` answer a chain of any length. A sum nested to the right
+    # by written parentheses builds its transition table by recursion,
+    # which overflows at 3000 levels.
     for length in (600, 3000, 5000):
         chain = ";".join("ab"[i % 2] for i in range(length))
         code, out, err = run(capsys, "equiv", chain, chain + " ; 1")
         assert (code, out, err) == (0, "equivalent\n", "")
-    chain = ";".join("ab"[i % 2] for i in range(3000))
-    code, out, err = run(capsys, "nf", chain)
+    rng = random.Random(5)
+    letters = [rng.choice("ab") for _ in range(5000)]
+    # The chain is its own normal form.
+    assert run(capsys, "nf", ";".join(letters)) == (0, " ; ".join(letters) + "\n", "")
+    assert run(capsys, "automaton", ";".join(letters)) == (
+        0, "states: 5001\naccepting: 1\ntransitions: 5000\n", "")
+    left = "(" * 4998 + letters[0] + " ; " + ") ; ".join(letters[1:])
+    assert run(capsys, "automaton", left) == (
+        0, "states: 5001\naccepting: 1\ntransitions: 5000\n", "")
+    assert run(capsys, "equiv", left, ";".join(letters)) == (0, "equivalent\n", "")
+    letters = ["ab"[i % 2] for i in range(3000)]
+    code, out, err = run(capsys, "nf", " + (".join(letters) + ")" * 2999)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,8 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reachable_terms, reference_derive, reference_reachable_states, term_strategy
+from helpers import (reachable_terms, reference_derive, reference_print, reference_reachable_states,
+                     reference_right_nested, right_nested, term_strategy)
 from synka import (
     Atom,
     H,
@@ -101,6 +102,16 @@ def test_reach_closed_under_derivatives():
         for state in reach | {term}:
             for targets in transitions(state).values():
                 assert targets <= reach
+
+
+@settings(max_examples=150)
+@given(term_strategy("ab") | term_strategy("abc", max_leaves=6))
+def test_states_reached_from_parsed_text_are_right_nested(term):
+    # Text in which no ``;`` operand of a ``;`` is parenthesised parses
+    # nested to the right, and so is every state its transitions reach.
+    parsed = parse_term(reference_print(reference_right_nested(term)))
+    for state in explore(parsed).states:
+        assert right_nested(state), state
 
 
 def test_build_automaton_lists_only_reached_states():
@@ -207,9 +218,9 @@ def test_unfold_term_shape():
 
 
 def test_to_dot_names_each_state_by_its_printed_form():
-    term = parse_term(" & ".join(["(a+b;a)*"] * 7))
-    states = explore(term).states
-    lines = to_dot(term).splitlines()
+    automaton = explore(parse_term(" & ".join(["(a+b;a)*"] * 7)))
+    states = automaton.states
+    lines = to_dot(automaton).splitlines()
     assert lines[3:3 + len(states)] == [
         '  "%s" [shape=%s];' % (state, "doublecircle" if nullable(state) else "circle")
         for state in states
@@ -217,13 +228,13 @@ def test_to_dot_names_each_state_by_its_printed_form():
 
 
 def test_to_dot():
-    dot = to_dot(Atom("a"))
+    dot = to_dot(explore(Atom("a")))
     assert dot.startswith("digraph {")
     assert '"a" -> "1" [label="{a}"];' in dot
     assert '"1" [shape=doublecircle];' in dot
     assert '"a" [shape=circle];' in dot
     # States by printed form, then each state's edges by symbol and target.
-    assert to_dot(parse_term("a + a;b")).splitlines() == [
+    assert to_dot(explore(parse_term("a + a;b"))).splitlines() == [
         "digraph {",
         "  rankdir=LR;",
         '  __start [shape=point, label=""];',

@@ -30,7 +30,8 @@ from synka import equivalence, terms
 from synka.checks import random_sl_term, random_term
 
 # Left-nested ``;``-chains of random terms with ``&`` and ``H``, alone and
-# under ``&``, ``*`` and ``H``: the inputs that ``equiv`` right-associates.
+# under ``&``, ``*`` and ``H``: inputs whose derivatives are re-nested to
+# the right.
 _chains = st.lists(term_strategy("ab", max_leaves=5), min_size=1, max_size=4).map(
     lambda parts: functools.reduce(Seq, parts)
 )
@@ -309,11 +310,11 @@ def test_member_of_a_long_chain():
     length = 5000
     letters = ["ab"[i % 2] for i in range(length)]
     word = tuple(SymSet(letter) for letter in letters)
-    chain = Atom("a")
-    for letter in letters[1:]:
-        chain = Seq(chain, Atom(letter))
-    assert member(word, chain)
-    assert not member(word[:-1], chain)
+    # Parsed, the chain nests to the right; built by constructors from its
+    # first letter on, to the left, and its tables step over the spine.
+    for chain in (parse_term(";".join(letters)), functools.reduce(Seq, map(Atom, letters))):
+        assert member(word, chain)
+        assert not member(word[:-1], chain)
 
 
 def test_witness_of_a_long_chain():

@@ -46,11 +46,15 @@ def test_parse_error_position():
 
 
 def test_parse_precedence():
-    # * > ; > & > +, binaries left-associative
+    # * > ; > & > +; + and & associate to the left, ; to the right
     assert parse_term("a ; b* & c + d") == Plus(
         Sync(Seq(Atom("a"), Star(Atom("b"))), Atom("c")), Atom("d")
     )
     assert parse_term("a + b + c") == Plus(Plus(Atom("a"), Atom("b")), Atom("c"))
+    assert parse_term("a & b & c") == Sync(Sync(Atom("a"), Atom("b")), Atom("c"))
+    assert parse_term("a ; b ; c") == Seq(Atom("a"), Seq(Atom("b"), Atom("c")))
+    assert parse_term("a ; b* ; c & d ; e") == Sync(
+        Seq(Atom("a"), Seq(Star(Atom("b")), Atom("c"))), Seq(Atom("d"), Atom("e")))
 
 
 def test_parse_extra_input_rejected():
@@ -77,6 +81,8 @@ def test_print_examples():
     assert print_term(Star(Plus(Atom("a"), Atom("b")))) == "(a + b)*"
     assert print_term(Zero()) == "0"
     assert print_term(Plus(Atom("a"), Plus(Atom("b"), Atom("c")))) == "a + (b + c)"
+    assert print_term(Seq(Atom("a"), Seq(Atom("b"), Atom("c")))) == "a ; b ; c"
+    assert print_term(Seq(Seq(Atom("a"), Atom("b")), Atom("c"))) == "(a ; b) ; c"
     assert print_term(Star(Star(Atom("a")))) == "a**"
 
 
@@ -98,13 +104,23 @@ def test_print_matches_reference(term):
 
 
 def test_deep_chain_roundtrip():
-    # Fifteen times the depth at which a recursive printer overflowed.
-    term = Atom("a")
-    for i in range(1, 5000):
-        term = Seq(term, Atom("ab"[i % 2]))
-    printed = print_term(term)
-    assert printed == " ; ".join("ab"[i % 2] for i in range(5000))
-    assert parse_term(printed) is term
+    # Fifteen times the depth at which a recursive printer overflowed. A
+    # written chain parses nested to the right and prints without
+    # parentheses; one nested to the left keeps them both ways.
+    letters = ["ab"[i % 2] for i in range(5000)]
+    right = Atom(letters[-1])
+    for letter in reversed(letters[:-1]):
+        right = Seq(Atom(letter), right)
+    text = " ; ".join(letters)
+    assert parse_term(text) is right
+    assert right.left is Atom("a")
+    assert print_term(right) == text
+    left = Atom("a")
+    for letter in letters[1:]:
+        left = Seq(left, Atom(letter))
+    printed = print_term(left)
+    assert printed == "(" * 4998 + "a ; " + ") ; ".join(letters[1:])
+    assert parse_term(printed) is left
 
 
 def _outcome(parse, text, alphabet):

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (reference_facts, reference_first_h, reference_postorder, reference_print,
-                     sl_term_strategy, term_strategy)
+                     reference_then, sl_term_strategy, term_strategy)
 from synka import (
     Atom,
     Fragments,
@@ -37,11 +37,20 @@ from synka import (
 )
 from synka import terms
 from synka.checks import random_term
-from synka.terms import TERM_OPS, Ops, evaluate, postorder, printed_forms, right_associated
+from synka.terms import TERM_OPS, Ops, evaluate, postorder, printed_forms, then
 
 
 def _chain(length):
-    """A left-nested ``;``-chain of ``length`` atoms, built with constructors."""
+    """The ``;``-chain ``a ; b ; a ; ...`` of ``length`` atoms, nested to the
+    right as the parser builds it, with constructors."""
+    term = Atom("ab"[(length - 1) % 2])
+    for i in reversed(range(length - 1)):
+        term = Seq(Atom("ab"[i % 2]), term)
+    return term
+
+
+def _left_chain(length):
+    """The same chain nested to the left, as written parentheses give it."""
     term = Atom("a")
     for i in range(1, length):
         term = Seq(term, Atom("ab"[i % 2]))
@@ -90,11 +99,12 @@ def _product_doubling(k):
 def test_separately_built_deep_chains_are_one_node():
     # Twice the default recursion limit deep: a structural comparison
     # recurses once per level.
-    first = _chain(2001)
-    second = _chain(2001)
-    assert first is second
-    assert first == second
-    assert len({first, second}) == 1
+    for chain in (_chain, _left_chain):
+        first = chain(2001)
+        second = chain(2001)
+        assert first is second
+        assert first == second
+        assert len({first, second}) == 1
 
 
 def test_facts_of_deep_chain_need_no_recursion():
@@ -102,6 +112,7 @@ def test_facts_of_deep_chain_need_no_recursion():
     # and 2^60 - 1 nodes, so each walk must visit only the distinct nodes.
     cases = [
         (_chain(5000), "ab", Fragments(sl=False, ska=True, nsf=True)),
+        (_left_chain(5000), "ab", Fragments(sl=False, ska=True, nsf=True)),
         (_doubling(60), "a", Fragments(sl=False, ska=True, nsf=True)),
         (_product_doubling(58), "ab", Fragments(sl=True, ska=True, nsf=False)),
     ]
@@ -266,13 +277,26 @@ def test_intern_table_forgets_dead_nodes():
     assert len(terms._NODES) == baseline
 
 
-def test_right_associated_nests_chains_to_the_right():
-    term = parse_term("(a ; b) ; (c ; d)* ; H((a ; b) ; c)")
-    assert right_associated(term) is parse_term("a ; (b ; ((c ; d)* ; H(a ; (b ; c))))")
-    flat = parse_term("a ; (b & c ; d)* + H(a)")
-    assert right_associated(flat) is flat
-    deep = right_associated(_chain(5000))
-    assert deep.left is Atom("a") and not deep._left_seq
+def test_then_nests_the_chain_of_its_first_operand_to_the_right():
+    assert then(parse_term("(a ; b) ; (c ; d)*"), Atom("e")) is parse_term("a ; b ; (c ; d)* ; e")
+    assert then(parse_term("a + b"), Atom("c")) is Seq(parse_term("a + b"), Atom("c"))
+    # Far past the recursion limit, and only the chain of ``first``: the
+    # left-nested ``rest`` is kept as it is.
+    assert then(_left_chain(5000), _left_chain(2)) is then(_chain(5000), _left_chain(2))
+    assert then(_chain(4999), Atom("b")) is _chain(5000)
+
+
+@given(term_strategy("ab"), term_strategy("ab"))
+def test_then_denotes_the_sequence_and_nests_its_spine(first, rest):
+    # The language of ``first ; rest``, and down the spine to ``rest`` no
+    # ``;`` has a ``;`` as its left operand.
+    result = then(first, rest)
+    assert sem_bounded(result, 3) == sem_bounded(Seq(first, rest), 3)
+    assert result is reference_then(first, rest)
+    node = result
+    while node is not rest:
+        assert type(node) is Seq and type(node.left) is not Seq
+        node = node.right
 
 
 @pytest.mark.parametrize("text", ["0", "1", "a", "(a ; b)* & H(c + 1)", "H(a)* + 0 ; 1"])
@@ -286,11 +310,12 @@ def test_pickle_and_copy_give_the_interned_node(text):
 
 def test_deep_copy_of_a_deep_term_is_the_node():
     # Far past the recursion limit; an immutable node is its own deep copy.
-    chain = _chain(5000)
-    assert copy.deepcopy(chain) is chain
+    for chain in (_chain(5000), _left_chain(5000)):
+        assert copy.deepcopy(chain) is chain
 
 
-@pytest.mark.parametrize("term", [_chain(5000), _doubling(60)], ids=["chain", "doubling"])
+@pytest.mark.parametrize("term", [_chain(5000), _left_chain(5000), _doubling(60)],
+                         ids=["chain", "left-chain", "doubling"])
 def test_pickle_of_a_deep_or_shared_term_is_the_node(term):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(term, protocol)) is term
@@ -299,7 +324,7 @@ def test_pickle_of_a_deep_or_shared_term_is_the_node(term):
 def test_size_counts_tree_nodes_without_recursion():
     assert size(parse_term("a")) == 1
     assert size(parse_term("(a ; b)* & H(a + 1)")) == 9
-    assert size(_chain(5000)) == 9999
+    assert size(_chain(5000)) == size(_left_chain(5000)) == 9999
     # t(k+1) = t(k) ; a + t(k) has 2k + 1 distinct nodes, but 4 * 2^k - 3
     # nodes as a tree.
     assert size(_doubling(60)) == 4 * 2**60 - 3
@@ -322,12 +347,12 @@ def test_facts_match_reference(term):
     # The facts a node records, and those that walks find, at every node.
     for t in postorder(term):
         fragments = classify(t)
-        facts = (t._nullable, fragments.ska, fragments.sl, fragments.nsf, t._left_seq, letters(t))
+        facts = (t._nullable, fragments.ska, fragments.sl, fragments.nsf, letters(t))
         assert facts == reference_facts(t)
 
 
 def test_postorder_of_deep_and_shared_terms():
-    assert len(list(postorder(_chain(5000)))) == 5001
+    assert len(list(postorder(_chain(5000)))) == len(list(postorder(_left_chain(5000)))) == 5001
     assert len(list(postorder(_doubling(60)))) == 2 * 60 + 1
 
 
@@ -365,11 +390,11 @@ def test_evaluate_substitutes_letters():
 def test_evaluate_of_deep_and_shared_terms():
     # Far past the recursion limit, and, in a model that counts tree nodes,
     # a term of 2 * 60 + 1 distinct nodes and 4 * 2^60 - 3 tree nodes.
-    chain = _chain(5000)
-    assert evaluate(chain, TERM_OPS, Atom) is chain
     add = lambda *counts: 1 + sum(counts)  # noqa: E731
     tree_size = Ops(plus=add, dot=add, sync=add, star=add, zero=1, one=1, h=add)
-    assert evaluate(chain, tree_size, lambda _: 1) == size(chain)
+    for chain in (_chain(5000), _left_chain(5000)):
+        assert evaluate(chain, TERM_OPS, Atom) is chain
+        assert evaluate(chain, tree_size, lambda _: 1) == size(chain)
     assert evaluate(_doubling(60), tree_size, lambda _: 1) == 4 * 2**60 - 3
 
 
@@ -383,10 +408,17 @@ def test_printed_forms_of_terms_that_share_nodes(ts):
 
 
 def test_printed_forms_of_deep_and_shared_terms():
-    chain = _chain(5000)
-    ts = [chain, chain.left, _chain(2500), Seq(chain, chain), chain, Atom("a")]
-    assert printed_forms(ts) == [str(t) for t in ts]
-    assert printed_forms(ts)[0] == " ; ".join("ab"[i % 2] for i in range(5000))
+    # ``_chain(2500)`` is the second half of ``_chain(5000)``.
+    chain, left = _chain(5000), _left_chain(5000)
+    ts = [chain, chain.right, _chain(2500), Seq(chain, chain), chain, Atom("a"), left, left.left]
+    forms = printed_forms(ts)
+    assert forms == [str(t) for t in ts]
+    text = ["ab"[i % 2] for i in range(5000)]
+    assert forms[0] == " ; ".join(text)
+    assert forms[2] == " ; ".join(text[2500:])
+    assert forms[3] == "(%s) ; %s" % (forms[0], forms[0])
+    # A chain nested to the left parenthesises each left operand but the first.
+    assert forms[6] == "(" * 4998 + "a ; " + ") ; ".join(text[1:])
     # Sixteen levels of ``t & t``: 18 distinct nodes, 2^18 - 1 as a tree.
     products = [_product_doubling(k) for k in range(16)]
     forms = printed_forms(products)
