@@ -83,9 +83,9 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser. Every command is listed with its help, but
-    only ``command`` gets its arguments and ``-h``, or every command does
-    when ``command`` names none; the others are never parsed."""
+    """The command line parser: only ``command``'s subparser when it names a
+    command, every command's, each listed with its help line, when it names
+    none. The usage line lists every command either way."""
     # The flags every command reads; each command adds its own.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alphabet", metavar="LETTERS",
@@ -98,12 +98,12 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "decide equivalence, extract normal forms, export automata, "
                     "and evaluate terms in the one-letter model.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _HELP.items():
-        if command in _HELP and name != command:
-            sub.add_parser(name, help=help_text, add_help=False)
-        else:
-            _add_arguments(name, sub.add_parser(name, parents=[common], help=help_text))
+    lean = command in _HELP
+    # The usage line of a parser for one command still lists them all.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_HELP) if lean else None)
+    for name in (command,) if lean else _HELP:
+        _add_arguments(name, sub.add_parser(name, parents=[common], help=_HELP[name]))
     return parser
 
 
@@ -269,9 +269,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The parser has no options of its own but ``-h``, so its first
-    # argument that is not an option names the command.
-    parser = _build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
+    # A first argument that names a command is the only command parsed;
+    # anything else, such as ``-h``, may need every command's help.
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.command == "check":
         import inspect

@@ -5,9 +5,11 @@ and ``transitions`` gives a term's one-step behaviour as a table, kept on
 the node, from each symbol set the term can read to its continuation terms
 (the linear forms of Antimirov, "Partial derivatives of regular expressions
 and finite automaton constructions", 1996): the partial derivative of a
-term by a symbol is its table's entry for the symbol. It is the only
-function that encodes the derivative rules: the determinized ``step``,
-word ``member``ship, ``unfold``, the DOT rendering, equivalence and normal
+term by a symbol is its table's entry for the symbol. Continuations are
+concatenated with Antimirov's unit rule ``{1} ⊙ F = F``, so ``a ; e`` steps
+on ``a`` to ``e`` itself and ``a*`` to ``a*``. It is the only function
+that encodes the derivative rules: the determinized ``step``, word
+``member``ship, ``unfold``, the DOT rendering, equivalence and normal
 forms all read its tables.
 ``explore`` numbers a term's closure under ``transitions`` once, in
 printed order, and reads each table into a row of state indices. So the
@@ -51,10 +53,12 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     continues with the product of their continuations; it also steps as
     ``e`` alone when ``f`` accepts the empty word, and as ``f`` alone when
     ``e`` does. The continuations of ``e ; f`` and ``e*`` are built by
-    ``then``, so every state reached from a right-nested term is nested
-    to the right too; a ``;`` whose left operand is a ``;`` takes the table
-    of its chain nested to the right. The table is built once per node,
-    kept on it, shared by every caller and read-only.
+    ``then``, which drops a continuation ``1`` of ``e`` by the unit law, so
+    ``a ; f`` steps to ``f`` and ``a*`` to itself, and every state reached
+    from a right-nested term is nested to the right too; a ``;`` whose left
+    operand is a ``;`` takes the table of its chain nested to the right.
+    The table is built once per node, kept on it, shared by every caller
+    and read-only.
     """
     cached = term._transitions
     if cached is not None:

@@ -20,8 +20,9 @@ operands, and its transition table, filled on first use by
 letters and grammar fragments are found by one walk when asked for. A node nobody references
 is freed with all of this, and its key leaves the intern table. A star
 whose table was filled waits for the next cyclic garbage collection: the
-table's targets ``t ; star`` refer back to the star, so the star and those
-targets form a reference cycle, which only the collector frees.
+table's targets, ``t ; star`` or the star itself, refer back to the star,
+so the star and those targets form a reference cycle, which only the
+collector frees.
 ``0``, ``1`` and the atoms are fixed instances. Pickling and copying go
 back through the constructors, so they give the same node; a pickle
 holds a flat post-order tuple of the distinct nodes, so neither depth nor
@@ -35,13 +36,15 @@ sharing. In a model without ``H``, ``evaluate`` raises ``HTermError`` at
 the first ``H`` it meets, naming the term's leftmost-outermost ``H``.
 ``;`` is associative, and a chain is nested to the right: the parser
 builds ``a ; b ; c`` as ``a ; (b ; c)``, and ``then(first, rest)`` builds
-``first ; rest`` with the chain of ``first`` nested to the right, for the
-continuations of ``derivatives.transitions`` and the normal forms of
-``normalform``. So a state derived from a chain adds O(1) new nodes, not
-a fresh copy of the chain. ``printed_forms`` prints terms with minimal
-parentheses, in one walk over all of them, so a node the terms share is
-visited once (``str`` is that walk over one term); each walks a stack of
-its own, as it needs more than the operands-first order.
+``first ; rest`` with the chain of ``first`` nested to the right and the
+unit law ``1 ; e = e`` applied, for the continuations of
+``derivatives.transitions`` and the normal forms of ``normalform``. So a
+state derived from a chain adds O(1) new nodes, not a fresh copy of the
+chain, and an atom's step to ``1`` continues with the rest itself.
+``printed_forms`` prints terms with minimal parentheses, in one walk over
+all of them, so a node the terms share is visited once (``str`` is that
+walk over one term); each walks a stack of its own, as it needs more than
+the operands-first order.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ class _Ref(weakref.ref):
 
 # Live compound nodes: a plain dict from ``(class, id(left), id(right))`` or
 # ``(class, id(inner))`` to a ``_Ref`` to the node. An operand in a key would
-# keep a star alive, as its transitions reach ``t ; star``; a live node keeps
-# its operands, so their ids are not reused. No step takes a lock, as none
+# keep a star alive, as its transitions reach it or ``t ; star``; a live node
+# keeps its operands, so their ids are not reused. No step takes a lock, as none
 # replaces a live entry: a new node is entered with ``setdefault``, so two
 # threads that build the same term both get the node entered first, and both
 # a dead entry found there, whose callback has not run yet, and the callback
@@ -365,13 +368,15 @@ def size(term: Term) -> int:
 
 
 def then(first: Term, rest: Term) -> Term:
-    """``first ; rest`` with the ``;``-chain of ``first`` nested to the right,
-    so ``then((a ; b) ; c, d)`` is ``a ; (b ; (c ; d))``. ``;`` is
-    associative, so the language is that of ``Seq(first, rest)``. A
-    ``first`` that is not a ``;`` costs one constructor call; a chain is
-    walked over an explicit stack."""
+    """``first ; rest`` with the ``;``-chain of ``first`` nested to the right
+    and its ``1`` factors dropped by the unit law ``1 ; e = e``, the
+    concatenation ``{1} ⊙ F = F`` of Antimirov's partial derivatives: so
+    ``then((a ; b) ; c, d)`` is ``a ; (b ; (c ; d))`` and ``then(1, d)`` is
+    ``d``. ``;`` is associative with unit ``1``, so the language is that of
+    ``Seq(first, rest)``. A ``first`` that is not a ``;`` costs at most one
+    constructor call; a chain is walked over an explicit stack."""
     if type(first) is not Seq:
-        return Seq(first, rest)
+        return rest if first is _ONE else Seq(first, rest)
     # The chain's factors, left to right: its nodes that are not a ``;``.
     factors = []
     pending = [first]
@@ -383,7 +388,8 @@ def then(first: Term, rest: Term) -> Term:
         else:
             factors.append(node)
     for factor in reversed(factors):
-        rest = Seq(factor, rest)
+        if factor is not _ONE:
+            rest = Seq(factor, rest)
     return rest
 
 

@@ -5,7 +5,9 @@ check: equivalence is re-decided by materialized subset construction over
 a product and by ``reference_equiv``, the pair search up to equivalence
 alone, derivatives are recomputed one symbol at a time by enumerating
 product splits, with each continuation's ``;``-chain nested to the right
-by recursion (``reference_then``), the reached states are closed by
+and its ``1`` factors dropped by recursion (``reference_then``; the rule
+without the unit law, ``old_then``, is kept to cross-check it), the
+reached states are closed by
 recursion and sorted by each state's own printed form
 (``reference_reachable_states``), linear
 systems are built over ``reachable_terms``, a
@@ -177,9 +179,21 @@ def _splits(symbols: SymSet):
 
 def reference_then(first, rest):
     """``first ; rest`` with the ``;``-chain of ``first`` nested to the
-    right, by recursion: ``(x ; y) ; rest`` is ``x ; (y ; rest)``."""
+    right, by recursion, and the unit law applied to each of its factors:
+    ``(x ; y) ; rest`` is ``x ; (y ; rest)`` and ``1 ; rest`` is ``rest``."""
     if isinstance(first, Seq):
         return reference_then(first.left, reference_then(first.right, rest))
+    if isinstance(first, One):
+        return rest
+    return Seq(first, rest)
+
+
+def old_then(first, rest):
+    """The continuation rule without the unit law: ``first ; rest`` with the
+    ``;``-chain of ``first`` nested to the right, so ``1 ; rest`` is a
+    node of its own."""
+    if isinstance(first, Seq):
+        return old_then(first.left, old_then(first.right, rest))
     return Seq(first, rest)
 
 
@@ -207,9 +221,11 @@ def right_nested(term) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def reference_derive(term, symbols: SymSet) -> frozenset:
+def reference_derive(term, symbols: SymSet, then=reference_then) -> frozenset:
     """Partial derivative by one symbol, computed by structural recursion
-    on that symbol alone; a product tries every split of it."""
+    on that symbol alone; a product tries every split of it. Continuations
+    of ``;`` and ``*`` are built by ``then``: ``old_then`` gives the
+    derivatives of the rule without the unit law."""
     if isinstance(term, (Zero, One, H)):
         return frozenset()
     if isinstance(term, Atom):
@@ -217,25 +233,25 @@ def reference_derive(term, symbols: SymSet) -> frozenset:
             return frozenset((One(),))
         return frozenset()
     if isinstance(term, Plus):
-        return reference_derive(term.left, symbols) | reference_derive(term.right, symbols)
+        return reference_derive(term.left, symbols, then) | reference_derive(term.right, symbols, then)
     if isinstance(term, Seq):
-        out = {reference_then(t, term.right) for t in reference_derive(term.left, symbols)}
+        out = {then(t, term.right) for t in reference_derive(term.left, symbols, then)}
         if nullable(term.left):
-            out |= reference_derive(term.right, symbols)
+            out |= reference_derive(term.right, symbols, then)
         return frozenset(out)
     if isinstance(term, Star):
-        return frozenset(reference_then(t, term) for t in reference_derive(term.inner, symbols))
+        return frozenset(then(t, term) for t in reference_derive(term.inner, symbols, then))
     if isinstance(term, Sync):
         out = set()
         if nullable(term.right):
-            out |= reference_derive(term.left, symbols)
+            out |= reference_derive(term.left, symbols, then)
         if nullable(term.left):
-            out |= reference_derive(term.right, symbols)
+            out |= reference_derive(term.right, symbols, then)
         for left_syms, right_syms in _splits(symbols):
-            lefts = reference_derive(term.left, left_syms)
+            lefts = reference_derive(term.left, left_syms, then)
             if not lefts:
                 continue
-            rights = reference_derive(term.right, right_syms)
+            rights = reference_derive(term.right, right_syms, then)
             for lt in lefts:
                 for rt in rights:
                     out.add(Sync(lt, rt))
@@ -271,6 +287,22 @@ def reachable_terms(term: Term) -> frozenset[Term]:
         out = {Sync(lt, rt) for lt in lefts for rt in rights}
         return frozenset(out) | lefts | rights
     raise TypeError("unknown term node %r" % (term,))
+
+
+def old_closure(term: Term) -> frozenset[Term]:
+    """The states reached from ``term`` by the derivatives of the rule
+    without the unit law (``old_then``), over every nonempty symbol of its
+    letters."""
+    symbols = nonempty_subsets(letters(term))
+    closure = {term}
+    frontier = [term]
+    while frontier:
+        state = frontier.pop()
+        for symbol in symbols:
+            for target in reference_derive(state, symbol, old_then) - closure:
+                closure.add(target)
+                frontier.append(target)
+    return frozenset(closure)
 
 
 def reference_reachable_states(term: Term) -> tuple[Term, ...]:
@@ -930,9 +962,10 @@ def random_context(
     return lambda hole: node(other, inner(hole))
 
 
-def term_strategy(alphabet: str = "ab", allow_h: bool = True, max_leaves: int = 8):
-    """Hypothesis strategy over terms."""
-    atoms = [Zero(), One()] + [Atom(ch) for ch in sorted(set(alphabet))]
+def term_strategy(alphabet: str = "ab", allow_h: bool = True, max_leaves: int = 8,
+                  allow_one: bool = True):
+    """Hypothesis strategy over terms; ``allow_one=False`` leaves out ``1``."""
+    atoms = [Zero()] + [One()] * allow_one + [Atom(ch) for ch in sorted(set(alphabet))]
     leaves = st.sampled_from(atoms)
 
     def extend(children):

@@ -100,12 +100,12 @@ def test_nf_json_reports_states(capsys):
     code, out, _ = run(capsys, "nf", "--json", "--system", "(a+b;a)* & (a+b;a)*")
     assert code == 0
     payload = json.loads(out)
-    assert payload["states"] == 7
-    assert len(payload["system"]) == 7
+    assert payload["states"] == 6
+    assert len(payload["system"]) == 6
 
 
 @pytest.mark.parametrize("term, counts", [
-    ("(a+b;a)* & (a+b;a)*", (7, 3, 22)),
+    ("(a+b;a)* & (a+b;a)*", (6, 2, 16)),
     ("a & b", (2, 1, 1)),
 ])
 def test_automaton_json_counts(capsys, term, counts):
@@ -301,19 +301,35 @@ def test_other_runtime_errors_propagate(capsys, monkeypatch):
         main(["equiv", "a", "a"])
 
 
-def _subparser(parser, command):
-    return next(a for a in parser._actions if a.dest == "command").choices[command]
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
 
 
 @pytest.mark.parametrize("command", list(_HELP))
 def test_parser_for_one_command_reads_and_prints_the_same(command):
-    # Only the named command gets its arguments; the help and usage of the
-    # program and of that command are those of the parser for every command.
+    # Only the named command's parser is built; the program's usage and that
+    # command's help are those of the parser for every command.
     full, lean = _build_parser(), _build_parser(command)
-    assert lean.format_help() == full.format_help()
     assert lean.format_usage() == full.format_usage()
-    assert _subparser(lean, command).format_help() == _subparser(full, command).format_help()
-    assert not any(_subparser(lean, other)._actions for other in _HELP if other != command)
+    assert list(_subparsers(lean)) == [command]
+    assert _subparsers(lean)[command].format_help() == _subparsers(full)[command].format_help()
+
+
+def _exit(capsys, call):
+    with pytest.raises(SystemExit) as exited:
+        call()
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["-h", "equiv"], 0), (["bogus"], 2),
+                                        (["equiv", "-h"], 0), (["equiv", "a", "b", "--bogus"], 2)])
+def test_usage_and_help_are_those_of_the_parser_for_every_command(capsys, argv, code):
+    # Whichever parser ``main`` builds for ``argv``, it prints and exits as
+    # the parser for every command does.
+    expected = _exit(capsys, lambda: _build_parser().parse_args(argv))
+    assert expected[0] == code
+    assert _exit(capsys, lambda: main(argv)) == expected
 
 
 def _fresh_run(*argv):

@@ -1,11 +1,11 @@
 import random
 import string
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (reachable_terms, reference_derive, reference_print, reference_reachable_states,
-                     reference_right_nested, right_nested, term_strategy)
+from helpers import (old_closure, old_then, reachable_terms, reference_derive, reference_print,
+                     reference_reachable_states, reference_right_nested, right_nested, term_strategy)
 from synka import (
     Atom,
     H,
@@ -29,6 +29,7 @@ from synka import (
     unfold_as_term,
 )
 from synka.checks import random_term
+from synka.terms import postorder
 
 
 def test_nullable_examples():
@@ -62,8 +63,8 @@ def test_derive_guard_cases():
     # a* & b steps on {b} because the left operand accepts the empty word.
     table = transitions(parse_term("a* & b"))
     assert table[SymSet("b")] == frozenset((One(),))
-    # ...and on {a,b} through the product split.
-    assert table[SymSet("ab")] == frozenset((Sync(Seq(One(), Star(Atom("a"))), One()),))
+    # ...and on {a,b} through the product split, where a* continues as itself.
+    assert table[SymSet("ab")] == frozenset((Sync(Star(Atom("a")), One()),))
 
 
 def test_derive_outside_support_is_empty():
@@ -87,9 +88,7 @@ def test_reach_examples():
     assert reachable_terms(Atom("a")) == frozenset((One(), Atom("a")))
     assert reachable_terms(H(parse_term("a ; b"))) == frozenset((One(),))
     a_star = parse_term("a*")
-    assert reachable_terms(a_star) == frozenset(
-        (One(), Seq(One(), a_star), Seq(Atom("a"), a_star))
-    )
+    assert reachable_terms(a_star) == frozenset((One(), a_star, Seq(Atom("a"), a_star)))
     assert reachable_terms(Zero()) == frozenset()
 
 
@@ -114,9 +113,36 @@ def test_states_reached_from_parsed_text_are_right_nested(term):
         assert right_nested(state), state
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda alphabet: term_strategy(alphabet, max_leaves=6)))
+@example(parse_term("a* ; b"))
+@example(parse_term("(1 ; a)* & b ; H(c + 1)"))
+def test_unit_rule_keeps_the_language_with_fewer_targets_and_states(term):
+    # Against the rule without the unit law, where an atom steps to ``1 ; e``:
+    # each symbol's targets denote the same language, and there are never
+    # more of them or more reached states.
+    table = transitions(term)
+    for symbol in nonempty_subsets(letters(term)):
+        new = table.get(symbol, frozenset())
+        old = reference_derive(term, symbol, old_then)
+        assert len(new) <= len(old), (term, symbol)
+        assert (set().union(*(sem_bounded(t, 3).words for t in new))
+                == set().union(*(sem_bounded(t, 3).words for t in old))), (term, symbol)
+    assert len(explore(term).states) <= len(old_closure(term))
+
+
+@settings(max_examples=150)
+@given(term_strategy("ab", allow_one=False) | term_strategy("abc", max_leaves=6, allow_one=False))
+def test_no_state_reached_from_text_without_one_is_a_unit_sequence(term):
+    # Written without ``1``, a term reaches no ``1 ; e`` anywhere in a state.
+    for state in explore(term).states:
+        assert not any(type(node) is Seq and node.left is One() for node in postorder(state)), state
+
+
 def test_build_automaton_lists_only_reached_states():
-    # The syntactic over-approximation lists 31 states here.
-    assert len(explore(parse_term("(a+b;a)* & (a+b;a)*")).states) == 7
+    # The syntactic over-approximation lists 20 states here.
+    assert len(explore(parse_term("(a+b;a)* & (a+b;a)*")).states) == 6
 
 
 def test_reachable_states_sorted_by_printed_form():
@@ -239,11 +265,11 @@ def test_to_dot():
         "  rankdir=LR;",
         '  __start [shape=point, label=""];',
         '  "1" [shape=doublecircle];',
-        '  "1 ; b" [shape=circle];',
         '  "a + a ; b" [shape=circle];',
+        '  "b" [shape=circle];',
         '  __start -> "a + a ; b";',
-        '  "1 ; b" -> "1" [label="{b}"];',
         '  "a + a ; b" -> "1" [label="{a}"];',
-        '  "a + a ; b" -> "1 ; b" [label="{a}"];',
+        '  "a + a ; b" -> "b" [label="{a}"];',
+        '  "b" -> "1" [label="{b}"];',
         "}",
     ]

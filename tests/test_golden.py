@@ -4,7 +4,7 @@ file of fixed terms, byte for byte as ``data/golden.txt`` holds them.
 Terms hash by identity, so a solve step, a matrix row or a DOT listing
 taken in the hash order of terms would change these bytes between runs;
 CI runs this file under two hash seeds. The five-fold product's outputs
-(105 KB of system, 157 KB of DOT) are kept as SHA-256 digests. A change
+(87 KB of system, 120 KB of DOT) are kept as SHA-256 digests. A change
 that alters an output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and lists what changed.
 """

@@ -251,7 +251,8 @@ def test_dead_entry_is_kept_when_another_thread_enters_the_node_first(monkeypatc
 
 def test_unreferenced_term_is_freed():
     # Letters no other test uses, so no table elsewhere holds these nodes.
-    # A star's transition table reaches ``t ; star``, a cycle back to it.
+    # A star's transition table reaches ``t ; star`` or the star itself, a
+    # cycle back to it.
     term = parse_term("(p + q;p)* & (p;q)*")
     refs = [weakref.ref(term), weakref.ref(term.left), weakref.ref(term.right)]
     transitions(term)
@@ -280,6 +281,9 @@ def test_intern_table_forgets_dead_nodes():
 def test_then_nests_the_chain_of_its_first_operand_to_the_right():
     assert then(parse_term("(a ; b) ; (c ; d)*"), Atom("e")) is parse_term("a ; b ; (c ; d)* ; e")
     assert then(parse_term("a + b"), Atom("c")) is Seq(parse_term("a + b"), Atom("c"))
+    # The unit law drops every ``1`` factor of ``first``, not of ``rest``.
+    assert then(One(), Atom("c")) is Atom("c")
+    assert then(parse_term("(1 ; a) ; 1"), parse_term("1 ; c")) is parse_term("a ; 1 ; c")
     # Far past the recursion limit, and only the chain of ``first``: the
     # left-nested ``rest`` is kept as it is.
     assert then(_left_chain(5000), _left_chain(2)) is then(_chain(5000), _left_chain(2))
@@ -289,13 +293,13 @@ def test_then_nests_the_chain_of_its_first_operand_to_the_right():
 @given(term_strategy("ab"), term_strategy("ab"))
 def test_then_denotes_the_sequence_and_nests_its_spine(first, rest):
     # The language of ``first ; rest``, and down the spine to ``rest`` no
-    # ``;`` has a ``;`` as its left operand.
+    # ``;`` has a ``;`` or ``1`` as its left operand.
     result = then(first, rest)
     assert sem_bounded(result, 3) == sem_bounded(Seq(first, rest), 3)
     assert result is reference_then(first, rest)
     node = result
     while node is not rest:
-        assert type(node) is Seq and type(node.left) is not Seq
+        assert type(node) is Seq and type(node.left) not in (Seq, One)
         node = node.right
 
 
