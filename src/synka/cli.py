@@ -3,8 +3,11 @@
 Exit codes: 0 for success (or "equivalent" / "is a member"), 1 for a
 negative verdict or a failed property suite, 2 for usage, syntax or
 resource errors, and 141 when the reader of the output closed it. A term
-nested too deeply for Python's recursion limit, or a call that runs out of
-memory, is a resource error.
+nested too deeply for Python's recursion limit, an equivalence check past
+its state-pair cap, or a call that runs out of memory, is a resource error.
+
+Each command is one entry of ``_COMMANDS``, its help line and its handler;
+``_add_arguments`` declares its arguments, and one parser holds them all.
 
 Most calls finish in well under a millisecond, so start-up is most of
 their time, and each command loads only the modules it runs. At start
@@ -36,18 +39,6 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
     return value
-
-
-# Each command's name and help line, in the order the help lists them.
-_HELP = {
-    "parse": "parse and reprint a term",
-    "member": "decide word membership",
-    "equiv": "decide language equivalence",
-    "nf": "print an equivalent normal form",
-    "automaton": "build the term's automaton",
-    "eval-cm": "evaluate an H-free term in the one-letter model",
-    "check": "run a property suite",
-}
 
 
 def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
@@ -82,10 +73,10 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> None:
                        help="instances per property, at least 1 (default: per suite)")
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser: only ``command``'s subparser when it names a
-    command, every command's, each listed with its help line, when it names
-    none. The usage line lists every command either way."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser: a subparser for each command of
+    ``_COMMANDS``, listed with its help line, with the arguments that
+    ``_add_arguments`` declares."""
     # The flags every command reads; each command adds its own.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alphabet", metavar="LETTERS",
@@ -98,12 +89,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "decide equivalence, extract normal forms, export automata, "
                     "and evaluate terms in the one-letter model.",
     )
-    lean = command in _HELP
-    # The usage line of a parser for one command still lists them all.
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{%s}" % ",".join(_HELP) if lean else None)
-    for name in (command,) if lean else _HELP:
-        _add_arguments(name, sub.add_parser(name, parents=[common], help=_HELP[name]))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _) in _COMMANDS.items():
+        _add_arguments(name, sub.add_parser(name, parents=[common], help=help_line))
     return parser
 
 
@@ -255,23 +243,22 @@ def _cmd_check(args) -> int:
     return 0 if not failed else 1
 
 
+# Each command's help line and handler, in the order the help lists them.
+# The help lines are kept here, not in the handlers' docstrings, which
+# ``python -OO`` strips.
 _COMMANDS = {
-    "parse": _cmd_parse,
-    "member": _cmd_member,
-    "equiv": _cmd_equiv,
-    "nf": _cmd_nf,
-    "automaton": _cmd_automaton,
-    "eval-cm": _cmd_eval_cm,
-    "check": _cmd_check,
+    "parse": ("parse and reprint a term", _cmd_parse),
+    "member": ("decide word membership", _cmd_member),
+    "equiv": ("decide language equivalence", _cmd_equiv),
+    "nf": ("print an equivalent normal form", _cmd_nf),
+    "automaton": ("build the term's automaton", _cmd_automaton),
+    "eval-cm": ("evaluate an H-free term in the one-letter model", _cmd_eval_cm),
+    "check": ("run a property suite", _cmd_check),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # A first argument that names a command is the only command parsed;
-    # anything else, such as ``-h``, may need every command's help.
-    parser = _build_parser(argv[0] if argv else None)
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "check":
         import inspect
@@ -286,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.alphabet is not None:
             sorted_letters(args.alphabet)
-        code = _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command][1](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -296,20 +283,13 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError) as exc:
+        # A refused input, an unreadable file, or a search past its limit
+        # (``StateLimitError`` is also a ``ValueError``).
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:
         print("error: term nested too deeply (Python recursion limit %d)"
               % sys.getrecursionlimit(), file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # StateLimitError is a RuntimeError; its module is imported here, not
-        # at start. Any other runtime error is a bug and propagates.
-        from .equivalence import StateLimitError
-
-        if not isinstance(exc, StateLimitError):
-            raise
-        print("error: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

@@ -109,13 +109,14 @@ def step(states: Iterable[Term]) -> dict[SymSet, frozenset[Term]]:
 
 
 def member(word: tuple[SymSet, ...], term: Term) -> bool:
-    """Word membership by iterated derivatives; no automaton is built. A
-    symbol no current state can read rejects immediately. A state derived
+    """Word membership by iterated derivatives; no automaton is built. Each
+    step reads only the word's own symbol in the current states' tables, and
+    a symbol no current state can read rejects immediately. A state derived
     from a ``;``-chain needs O(1) new nodes, so a word and a chain of any
     length, nested either way, are answered."""
-    current: frozenset[Term] | None = frozenset((term,))
+    current = frozenset((term,))
     for symbol in word:
-        current = step(current).get(symbol)
+        current = frozenset().union(*(transitions(state).get(symbol, ()) for state in current))
         if not current:
             return False
     return any(nullable(state) for state in current)

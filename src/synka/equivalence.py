@@ -76,8 +76,10 @@ _nullable = attrgetter("_nullable")
 DEFAULT_PAIR_CAP = 1_000_000
 
 
-class StateLimitError(RuntimeError):
-    """Raised when the explored pair frontier exceeds the configured cap."""
+class StateLimitError(RuntimeError, ValueError):
+    """Raised when the explored pair frontier exceeds the configured cap.
+    It is also a ``ValueError``, so the CLI reports it like any other
+    refused input: one ``error:`` line and exit code 2."""
 
 
 class EquivResult(namedtuple("EquivResult", "equivalent witness", defaults=(None,))):

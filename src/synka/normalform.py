@@ -73,15 +73,11 @@ def build_system(term: Term) -> LinearSystem:
     states = tuple(automaton.states[i] for i in order)
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
-    # Each symbol's canonical atom, built once per call.
-    atoms = {}
     for source, i in zip(states, order):
         vector[source] = One() if nullable(source) else Zero()
         sums: dict[int, Term] = {}
         for symbol, targets in automaton.rows[i]:
-            atom = atoms.get(symbol)
-            if atom is None:
-                atom = atoms[symbol] = canonical_atom(symbol)
+            atom = canonical_atom(symbol)
             for j in targets:
                 seen = sums.get(j)
                 sums[j] = atom if seen is None else Plus(seen, atom)

@@ -118,18 +118,26 @@ def test_states_reached_from_parsed_text_are_right_nested(term):
     lambda alphabet: term_strategy(alphabet, max_leaves=6)))
 @example(parse_term("a* ; b"))
 @example(parse_term("(1 ; a)* & b ; H(c + 1)"))
+@example(parse_term("1 ; a*"))
 def test_unit_rule_keeps_the_language_with_fewer_targets_and_states(term):
     # Against the rule without the unit law, where an atom steps to ``1 ; e``:
     # each symbol's targets denote the same language, and there are never
-    # more of them or more reached states.
+    # more of them or more states that a step reaches. The start state is
+    # left out of the count, as it is a state either way: ``1 ; a*`` steps
+    # to itself without the unit law, but to ``a*`` with it.
     table = transitions(term)
-    for symbol in nonempty_subsets(letters(term)):
+    symbols = nonempty_subsets(letters(term))
+    for symbol in symbols:
         new = table.get(symbol, frozenset())
         old = reference_derive(term, symbol, old_then)
         assert len(new) <= len(old), (term, symbol)
         assert (set().union(*(sem_bounded(t, 3).words for t in new))
                 == set().union(*(sem_bounded(t, 3).words for t in old))), (term, symbol)
-    assert len(explore(term).states) <= len(old_closure(term))
+    reached = {target for state in explore(term).states
+               for targets in transitions(state).values() for target in targets}
+    reached_old = {target for state in old_closure(term)
+                   for symbol in symbols for target in reference_derive(state, symbol, old_then)}
+    assert len(reached) <= len(reached_old)
 
 
 @settings(max_examples=150)

@@ -140,6 +140,8 @@ def test_pair_cap():
     assert equiv(e, f).equivalent
     with pytest.raises(StateLimitError):
         equiv(e, f, pair_cap=0)
+    # Also a ValueError, so the CLI reports it as a refused input.
+    assert issubclass(StateLimitError, RuntimeError) and issubclass(StateLimitError, ValueError)
 
 
 def test_witness_is_shortest():
