@@ -7,7 +7,9 @@ the node, from each symbol set the term can read to its continuation terms
 and finite automaton constructions", 1996): the partial derivative of a
 term by a symbol is its table's entry for the symbol. Continuations are
 concatenated with Antimirov's unit rule ``{1} ⊙ F = F``, so ``a ; e`` steps
-on ``a`` to ``e`` itself and ``a*`` to ``a*``. It is the only function
+on ``a`` to ``e`` itself and ``a*`` to ``a*``, and a product continuation
+drops a ``1`` operand by the unit law ``1 & e = e & 1 = e``, so ``a & b``
+steps on ``{a,b}`` to ``1`` and ``a* & b`` to ``a*``. It is the only function
 that encodes the derivative rules: the determinized ``step``, word
 ``member``ship, ``unfold``, the DOT rendering, equivalence and normal
 forms all read its tables.
@@ -50,9 +52,10 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     mapped to the nonempty set of continuation terms.
 
     A product ``e & f`` reads the union of one symbol of each operand and
-    continues with the product of their continuations; it also steps as
-    ``e`` alone when ``f`` accepts the empty word, and as ``f`` alone when
-    ``e`` does. The continuations of ``e ; f`` and ``e*`` are built by
+    continues with the product of their continuations, or with one of them
+    alone when the other is ``1``, by the unit law ``1 & e = e & 1 = e``; it
+    also steps as ``e`` alone when ``f`` accepts the empty word, and as ``f``
+    alone when ``e`` does. The continuations of ``e ; f`` and ``e*`` are built by
     ``then``, which drops a continuation ``1`` of ``e`` by the unit law, so
     ``a ; f`` steps to ``f`` and ``a*`` to itself, and every state reached
     from a right-nested term is nested to the right too; a ``;`` whose left
@@ -82,12 +85,15 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
         for symbol, targets in transitions(term.inner).items():
             table[symbol] = frozenset(then(t, term) for t in targets)
     elif isinstance(term, Sync):
+        one = One()
         lefts = transitions(term.left)
         rights = transitions(term.right)
         for left_symbol, left_targets in lefts.items():
             for right_symbol, right_targets in rights.items():
                 symbol = left_symbol.union(right_symbol)
-                product = {Sync(lt, rt) for lt in left_targets for rt in right_targets}
+                # The unit law 1 & e = e & 1 = e.
+                product = {rt if lt is one else lt if rt is one else Sync(lt, rt)
+                           for lt in left_targets for rt in right_targets}
                 table[symbol] = table.get(symbol, frozenset()) | product
         if nullable(term.right):
             _merge(table, lefts)

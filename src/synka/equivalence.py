@@ -206,9 +206,8 @@ def equiv(e: Term, f: Term, pair_cap: int = DEFAULT_PAIR_CAP) -> EquivResult:
         congruence.add(left, right)
         examined += 1
         if examined > pair_cap:
-            raise StateLimitError(
-                "equivalence check exceeded %d determinized state pairs" % pair_cap
-            )
+            raise StateLimitError("equivalence check exceeded %d determinized state pairs;"
+                                  " --cap N raises the limit" % pair_cap)
         for symbol in sorted(next_left.keys() | next_right.keys()):
             after_left = next_left.get(symbol, empty)
             after_right = next_right.get(symbol, empty)

@@ -6,7 +6,10 @@ a product and by ``reference_equiv``, the pair search up to equivalence
 alone, derivatives are recomputed one symbol at a time by enumerating
 product splits, with each continuation's ``;``-chain nested to the right
 and its ``1`` factors dropped by recursion (``reference_then``; the rule
-without the unit law, ``old_then``, is kept to cross-check it), the
+without the unit law, ``old_then``, is kept to cross-check it) and each
+product continuation's ``1`` operand dropped (``reference_sync``; the rule
+without it is ``Sync`` itself), the states reached by those derivatives
+are closed over every symbol (``reference_closure``), the
 reached states are closed by
 recursion and sorted by each state's own printed form
 (``reference_reachable_states``), linear
@@ -197,6 +200,16 @@ def old_then(first, rest):
     return Seq(first, rest)
 
 
+def reference_sync(left, right):
+    """``left & right`` with the unit law ``1 & e = e & 1 = e`` applied:
+    a ``1`` operand gives the other operand itself."""
+    if isinstance(left, One):
+        return right
+    if isinstance(right, One):
+        return left
+    return Sync(left, right)
+
+
 def reference_right_nested(term):
     """``term`` with every ``;``-chain nested to the right, by recursion."""
     if isinstance(term, Seq):
@@ -221,11 +234,12 @@ def right_nested(term) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def reference_derive(term, symbols: SymSet, then=reference_then) -> frozenset:
+def reference_derive(term, symbols: SymSet, then=reference_then, sync=reference_sync) -> frozenset:
     """Partial derivative by one symbol, computed by structural recursion
     on that symbol alone; a product tries every split of it. Continuations
-    of ``;`` and ``*`` are built by ``then``: ``old_then`` gives the
-    derivatives of the rule without the unit law."""
+    of ``;`` and ``*`` are built by ``then`` and those of ``&`` by ``sync``:
+    ``old_then`` and ``Sync`` give the derivatives of the rules without the
+    unit laws."""
     if isinstance(term, (Zero, One, H)):
         return frozenset()
     if isinstance(term, Atom):
@@ -233,28 +247,29 @@ def reference_derive(term, symbols: SymSet, then=reference_then) -> frozenset:
             return frozenset((One(),))
         return frozenset()
     if isinstance(term, Plus):
-        return reference_derive(term.left, symbols, then) | reference_derive(term.right, symbols, then)
+        return (reference_derive(term.left, symbols, then, sync)
+                | reference_derive(term.right, symbols, then, sync))
     if isinstance(term, Seq):
-        out = {then(t, term.right) for t in reference_derive(term.left, symbols, then)}
+        out = {then(t, term.right) for t in reference_derive(term.left, symbols, then, sync)}
         if nullable(term.left):
-            out |= reference_derive(term.right, symbols, then)
+            out |= reference_derive(term.right, symbols, then, sync)
         return frozenset(out)
     if isinstance(term, Star):
-        return frozenset(then(t, term) for t in reference_derive(term.inner, symbols, then))
+        return frozenset(then(t, term) for t in reference_derive(term.inner, symbols, then, sync))
     if isinstance(term, Sync):
         out = set()
         if nullable(term.right):
-            out |= reference_derive(term.left, symbols, then)
+            out |= reference_derive(term.left, symbols, then, sync)
         if nullable(term.left):
-            out |= reference_derive(term.right, symbols, then)
+            out |= reference_derive(term.right, symbols, then, sync)
         for left_syms, right_syms in _splits(symbols):
-            lefts = reference_derive(term.left, left_syms, then)
+            lefts = reference_derive(term.left, left_syms, then, sync)
             if not lefts:
                 continue
-            rights = reference_derive(term.right, right_syms, then)
+            rights = reference_derive(term.right, right_syms, then, sync)
             for lt in lefts:
                 for rt in rights:
-                    out.add(Sync(lt, rt))
+                    out.add(sync(lt, rt))
         return frozenset(out)
     raise TypeError("unknown term node %r" % (term,))
 
@@ -289,17 +304,17 @@ def reachable_terms(term: Term) -> frozenset[Term]:
     raise TypeError("unknown term node %r" % (term,))
 
 
-def old_closure(term: Term) -> frozenset[Term]:
-    """The states reached from ``term`` by the derivatives of the rule
-    without the unit law (``old_then``), over every nonempty symbol of its
-    letters."""
+def reference_closure(term: Term, then=reference_then, sync=reference_sync) -> frozenset[Term]:
+    """The states reached from ``term`` by the derivatives of
+    ``reference_derive`` with continuations built by ``then`` and ``sync``,
+    over every nonempty symbol of its letters."""
     symbols = nonempty_subsets(letters(term))
     closure = {term}
     frontier = [term]
     while frontier:
         state = frontier.pop()
         for symbol in symbols:
-            for target in reference_derive(state, symbol, old_then) - closure:
+            for target in reference_derive(state, symbol, then, sync) - closure:
                 closure.add(target)
                 frontier.append(target)
     return frozenset(closure)

@@ -105,6 +105,14 @@ def test_nf_json_reports_states(capsys):
     assert len(payload["system"]) == 6
 
 
+def test_nf_json_reports_one_state_for_a_product_star(capsys):
+    # (a & b)* steps on {a,b} to itself; built as 1 & 1, the continuation
+    # of a & b would make (1 & 1) ; (a & b)* a second state.
+    code, out, _ = run(capsys, "nf", "--json", "(a & b)*")
+    assert code == 0
+    assert json.loads(out)["states"] == 1
+
+
 @pytest.mark.parametrize("term, counts", [
     ("(a+b;a)* & (a+b;a)*", (6, 2, 16)),
     ("a & b", (2, 1, 1)),
@@ -288,7 +296,8 @@ def test_equiv_over_the_cap_is_one_error_line(capsys):
     code, out, err = run(capsys, "equiv", "--cap", "2", "(a+b)*;a;(a+b);(a+b);(a+b)",
                          "(a*;b*)*;a;(a+b);(a+b);(a+b)")
     assert (code, out) == (2, "")
-    assert err == "error: equivalence check exceeded 2 determinized state pairs\n"
+    assert err == ("error: equivalence check exceeded 2 determinized state pairs;"
+                   " --cap N raises the limit\n")
 
 
 def test_other_runtime_errors_propagate(capsys, monkeypatch):

@@ -4,8 +4,9 @@ import string
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (old_closure, old_then, reachable_terms, reference_derive, reference_print,
-                     reference_reachable_states, reference_right_nested, right_nested, term_strategy)
+from helpers import (old_then, reachable_terms, reference_closure, reference_derive, reference_print,
+                     reference_reachable_states, reference_right_nested, reference_sync,
+                     reference_then, right_nested, term_strategy)
 from synka import (
     Atom,
     H,
@@ -52,8 +53,9 @@ def test_derive_examples():
     # symbol the term cannot read has no entry.
     assert transitions(Atom("a")) == {SymSet("a"): frozenset((One(),))}
     # Only the split left={a}, right={b} survives on a & b; the guard
-    # cases vanish since neither operand accepts the empty word.
-    assert transitions(parse_term("a & b")) == {SymSet("ab"): frozenset((Sync(One(), One()),))}
+    # cases vanish since neither operand accepts the empty word. The
+    # continuation 1 & 1 is 1 by the unit law.
+    assert transitions(parse_term("a & b")) == {SymSet("ab"): frozenset((One(),))}
     assert transitions(H(parse_term("a*"))) == {}
     assert transitions(Zero()) == {}
     assert transitions(One()) == {}
@@ -63,8 +65,9 @@ def test_derive_guard_cases():
     # a* & b steps on {b} because the left operand accepts the empty word.
     table = transitions(parse_term("a* & b"))
     assert table[SymSet("b")] == frozenset((One(),))
-    # ...and on {a,b} through the product split, where a* continues as itself.
-    assert table[SymSet("ab")] == frozenset((Sync(Star(Atom("a")), One()),))
+    # ...and on {a,b} through the product split, where a* continues as
+    # itself and b as 1, so the continuation a* & 1 is a* by the unit law.
+    assert table[SymSet("ab")] == frozenset((Star(Atom("a")),))
 
 
 def test_derive_outside_support_is_empty():
@@ -125,18 +128,39 @@ def test_unit_rule_keeps_the_language_with_fewer_targets_and_states(term):
     # more of them or more states that a step reaches. The start state is
     # left out of the count, as it is a state either way: ``1 ; a*`` steps
     # to itself without the unit law, but to ``a*`` with it.
+    _assert_fewer_targets_and_states_than(term, old_then, reference_sync)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda alphabet: term_strategy(alphabet, max_leaves=6)))
+@example(parse_term("a & b"))
+@example(parse_term("(a & b)*"))
+@example(parse_term("a* & b ; (1 & c)"))
+def test_product_unit_rule_keeps_the_language_with_fewer_targets_and_states(term):
+    # Against the product rule without the unit law, where ``a & b`` steps
+    # to ``1 & 1``: the same holds. ``(a & b)*`` reaches one state with the
+    # unit law, itself, but two without it.
+    _assert_fewer_targets_and_states_than(term, reference_then, Sync)
+
+
+def _assert_fewer_targets_and_states_than(term, then, sync):
+    """Against the derivatives of ``reference_derive`` with continuations
+    built by ``then`` and ``sync``, each symbol's targets in ``term``'s
+    table are no more and denote the same language up to length 3, and the
+    steps from its states reach no more states."""
     table = transitions(term)
     symbols = nonempty_subsets(letters(term))
     for symbol in symbols:
         new = table.get(symbol, frozenset())
-        old = reference_derive(term, symbol, old_then)
+        old = reference_derive(term, symbol, then, sync)
         assert len(new) <= len(old), (term, symbol)
         assert (set().union(*(sem_bounded(t, 3).words for t in new))
                 == set().union(*(sem_bounded(t, 3).words for t in old))), (term, symbol)
     reached = {target for state in explore(term).states
                for targets in transitions(state).values() for target in targets}
-    reached_old = {target for state in old_closure(term)
-                   for symbol in symbols for target in reference_derive(state, symbol, old_then)}
+    reached_old = {target for state in reference_closure(term, then, sync)
+                   for symbol in symbols for target in reference_derive(state, symbol, then, sync)}
     assert len(reached) <= len(reached_old)
 
 
@@ -146,6 +170,18 @@ def test_no_state_reached_from_text_without_one_is_a_unit_sequence(term):
     # Written without ``1``, a term reaches no ``1 ; e`` anywhere in a state.
     for state in explore(term).states:
         assert not any(type(node) is Seq and node.left is One() for node in postorder(state)), state
+
+
+@settings(max_examples=150)
+@given(term_strategy("ab", allow_one=False) | term_strategy("abc", max_leaves=6, allow_one=False))
+@example(parse_term("(a & b)*"))
+@example(parse_term("a* & b ; c"))
+def test_no_state_reached_from_text_without_one_has_a_unit_product(term):
+    # Written without ``1``, a term reaches no ``1 & e`` or ``e & 1`` anywhere
+    # in a state.
+    for state in explore(term).states:
+        assert not any(type(node) is Sync and One() in (node.left, node.right)
+                       for node in postorder(state)), state
 
 
 def test_build_automaton_lists_only_reached_states():
@@ -234,7 +270,7 @@ def _all_words(alphabet, bound):
 def test_unfold_examples():
     assert unfold(One()) == (True, [])
     assert unfold(Atom("a")) == (False, [(SymSet("a"), One())])
-    assert unfold(parse_term("a & b")) == (False, [(SymSet("ab"), Sync(One(), One()))])
+    assert unfold(parse_term("a & b")) == (False, [(SymSet("ab"), One())])
 
 
 def test_unfold_reassembles_to_same_language():

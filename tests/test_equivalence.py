@@ -21,6 +21,7 @@ from synka import (
     SymSet,
     Zero,
     equiv,
+    explore,
     member,
     parse_term,
     parse_word,
@@ -228,6 +229,49 @@ def test_congruence_test_is_the_congruence_closure(pairs, x, y):
 def _power_pair(n):
     tail = " ; a" + " ; (a+b)" * n
     return parse_term("(a+b)*" + tail), parse_term("(a*;b*)*" + tail)
+
+
+def test_product_unit_law_decides_the_commuted_pair_at_once():
+    # A product's continuation drops a 1 operand, so each symbol leads both
+    # sides of this commuted pair to the same set and the first pair
+    # examined decides it. Built as 1 & e, the left side has 9 states and
+    # the search examines 5 pairs.
+    e = parse_term("(a & b + a + 1) & (c* + d)*")
+    f = parse_term("(c* + d)* & (a & b + a + 1)")
+    assert equiv(e, f, pair_cap=1) == EquivResult(True, None)
+    assert len(explore(e).states) == 4
+
+
+# Terms of ``&`` products over three letters: ``&`` is drawn twice as often
+# as each other operator, and ``1`` is a leaf, so continuations meet 1.
+_products = st.recursive(
+    st.sampled_from([Zero(), One(), Atom("a"), Atom("b"), Atom("c")]),
+    lambda children: st.one_of(
+        st.builds(Sync, children, children),
+        st.builds(Sync, children, children),
+        st.builds(Plus, children, children),
+        st.builds(Seq, children, children),
+        st.builds(Star, children),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products, _products)
+def test_products_against_bounded_semantics(e, f):
+    # ``&`` commutes, and a verdict is checked against ``sem_bounded``,
+    # which never reads a transition table: a witness is accepted by
+    # exactly one side, and no shorter word tells the sides apart.
+    assert equiv(Sync(e, f), Sync(f, e)) == EquivResult(True, None)
+    result = equiv(e, f)
+    if result.equivalent:
+        assert sem_bounded(e, 3) == sem_bounded(f, 3)
+    else:
+        bound = len(result.witness)
+        left, right = sem_bounded(e, bound), sem_bounded(f, bound)
+        assert (result.witness in left) != (result.witness in right)
+        assert {w for w in left.words if len(w) < bound} == {w for w in right.words if len(w) < bound}
 
 
 def test_congruence_prunes_the_power_pair():

@@ -122,7 +122,9 @@ def test_product_normal_forms_stay_small():
 def test_build_system_sync_entry():
     term = parse_term("a & b")
     system = build_system(term)
-    assert system.matrix[(term, Sync(One(), One()))] == canonical_atom(SymSet("ab"))
+    # a & b steps on {a,b} to 1 & 1, which is 1 by the unit law.
+    assert system.states == (term, One())
+    assert system.matrix[(term, One())] == canonical_atom(SymSet("ab"))
 
 
 def test_build_system_entries_are_normal_form():
