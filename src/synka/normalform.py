@@ -12,11 +12,14 @@ and ``*``.
 ``solve`` works on the quotient of the system by bisimulation: states with
 the same vector entry whose summands lead to the same classes get one
 solution, found by partition refinement before anything is eliminated.
-Eliminating fewer states keeps the normal forms small: the four-fold ``&``
-of ``(a+b;a)*`` has 30 states and 14 classes, and its normal form has
-1,957 nodes as a tree, where eliminating every state gives 7,164,566.
-Every step follows the state order or the class numbers, never the hash
-order of terms, so the output is the same in every run.
+Eliminating fewer states keeps the normal forms small, and so does the
+order: classes go by fewest fill-in pairs (Markowitz 1957), counted once
+before anything is eliminated. The four-fold ``&`` of ``(a+b;a)*`` has 30
+states and 14 classes, and its normal form has 1,060 nodes as a tree;
+eliminating the classes from the back of the class order gives 1,957, and
+eliminating every state 7,164,566. Every step follows the state order or
+the class numbers, never the hash order of terms, so the output is the
+same in every run.
 """
 
 from __future__ import annotations
@@ -154,11 +157,15 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
     Bisimilar states have the same solution, so the system is first
     quotiented by bisimulation: the first state of each class in state
     order stands for it, and its row sums the distinct summands of its
-    entries into each class. The representatives are then eliminated from
-    the back of the state order over sparse rows, with a column index of
-    the rows that point at each state, and back-substitution finishes at
-    the first one; every state gets its class's solution. When every entry
-    of the system is in normal form, so is every entry of the solution.
+    entries into each class. The classes are then eliminated over sparse
+    rows, with a column index of the rows that point at each class, in one
+    order fixed up front: fewest fill-in pairs first (the other classes
+    pointing at a class times the other classes it points at), ties from
+    the back of the class order, and the start's class last. Each
+    elimination substitutes into every class not yet eliminated, and
+    back-substitution runs in reverse elimination order; every state gets
+    its class's solution. When every entry of the system is in normal
+    form, so is every entry of the solution.
     Unit laws for ``0`` and ``1`` and ``x + x = x`` for one node ``x`` are
     applied while building terms, and a ``;`` is built by ``then``, so its
     chain nests to the right; nothing else is rewritten.
@@ -194,15 +201,24 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
         for target in row:
             pointing[target].add(source)
 
-    eliminated: list[tuple[Term, list[tuple[int, Term]], Term]] = []
-    for state in range(len(rows) - 1, -1, -1):
+    # Fewest fill-in pairs first, counted once on the quotient; ties from the
+    # back of the class order, and the start's class (number 0) last.
+    def fill_in(state: int) -> int:
+        loop = state in rows[state]
+        return (len(pointing[state]) - loop) * (len(rows[state]) - loop)
+
+    order = sorted(range(len(rows) - 1, -1, -1), key=lambda state: (state == 0, fill_in(state)))
+    done = [False] * len(rows)
+    eliminated: list[tuple[int, Term, list[tuple[int, Term]], Term]] = []
+    for state in order:
+        done[state] = True
         row = rows[state]
         loop = row.pop(state, Zero())
         rest = sorted(row.items())
-        eliminated.append((loop, rest, vector[state]))
+        eliminated.append((state, loop, rest, vector[state]))
         factor = _star(loop)
         for source in sorted(pointing[state]):
-            if source >= state:
+            if done[source]:
                 continue
             source_row = rows[source]
             lead = _seq(source_row.pop(state), factor)
@@ -212,12 +228,12 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
                 source_row[target] = entry
                 pointing[target].add(source)
             vector[source] = _plus(vector[source], _seq(lead, vector[state]))
-    solution: list[Term] = []
-    for loop, rest, base in reversed(eliminated):
+    solution: list[Term] = [Zero()] * len(rows)
+    for state, loop, rest, base in reversed(eliminated):
         acc = base
         for other, coefficient in rest:
             acc = _plus(acc, _seq(coefficient, solution[other]))
-        solution.append(_seq(_star(loop), acc))
+        solution[state] = _seq(_star(loop), acc)
     return {state: solution[classes[i]] for i, state in enumerate(states)}
 
 
