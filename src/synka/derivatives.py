@@ -12,7 +12,10 @@ drops a ``1`` operand by the unit law ``1 & e = e & 1 = e``, so ``a & b``
 steps on ``{a,b}`` to ``1`` and ``a* & b`` to ``a*``. It is the only function
 that encodes the derivative rules: the determinized ``step``, word
 ``member``ship, ``unfold``, the DOT rendering, equivalence and normal
-forms all read its tables.
+forms all read its tables. A ``&`` table reads many more symbols than it
+has distinct continuation sets, so each distinct pair of operand sets is
+multiplied once per table, and ``unfold`` prints the continuations of all
+its symbols in one walk per call.
 ``explore`` numbers a term's closure under ``transitions`` once, in
 printed order, and reads each table into a row of state indices. So the
 three present a term as the initial state of a nondeterministic automaton
@@ -55,7 +58,9 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     continues with the product of their continuations, or with one of them
     alone when the other is ``1``, by the unit law ``1 & e = e & 1 = e``; it
     also steps as ``e`` alone when ``f`` accepts the empty word, and as ``f``
-    alone when ``e`` does. The continuations of ``e ; f`` and ``e*`` are built by
+    alone when ``e`` does. Each distinct pair of operand continuation sets is
+    multiplied once, and every symbol that reaches the pair shares the one
+    product set. The continuations of ``e ; f`` and ``e*`` are built by
     ``then``, which drops a continuation ``1`` of ``e`` by the unit law, so
     ``a ; f`` steps to ``f`` and ``a*`` to itself, and every state reached
     from a right-nested term is nested to the right too; a ``;`` whose left
@@ -88,13 +93,19 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
         one = One()
         lefts = transitions(term.left)
         rights = transitions(term.right)
+        products: dict[tuple[frozenset[Term], frozenset[Term]], frozenset[Term]] = {}
         for left_symbol, left_targets in lefts.items():
             for right_symbol, right_targets in rights.items():
                 symbol = left_symbol.union(right_symbol)
-                # The unit law 1 & e = e & 1 = e.
-                product = {rt if lt is one else lt if rt is one else Sync(lt, rt)
-                           for lt in left_targets for rt in right_targets}
-                table[symbol] = table.get(symbol, frozenset()) | product
+                key = (left_targets, right_targets)
+                product = products.get(key)
+                if product is None:
+                    # The unit law 1 & e = e & 1 = e.
+                    product = products[key] = frozenset({
+                        rt if lt is one else lt if rt is one else Sync(lt, rt)
+                        for lt in left_targets for rt in right_targets})
+                seen = table.get(symbol)
+                table[symbol] = product if seen is None else seen | product
         if nullable(term.right):
             _merge(table, lefts)
         if nullable(term.left):
@@ -164,15 +175,18 @@ def explore(term: Term) -> Automaton:
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
     """One-step decomposition: the empty-word bit plus all (symbol,
     continuation) summands, sorted by symbol and then printed term. Only
-    continuations that share a symbol are printed, in one walk per
-    symbol."""
+    continuations that share a symbol are printed, all of them in one walk
+    per call, so a continuation of many symbols is printed once."""
     table = transitions(term)
+    shared = {target for targets in table.values() if len(targets) > 1 for target in targets}
+    form = dict(zip(shared, printed_forms(shared))).__getitem__ if shared else None
     summands = []
     for symbol in sorted(table):
         targets = table[symbol]
         if len(targets) > 1:
-            targets = [target for _, target in _printed_order(targets)]
-        summands.extend((symbol, target) for target in targets)
+            summands += [(symbol, target) for target in sorted(targets, key=form)]
+        else:
+            summands.append((symbol, *targets))
     return nullable(term), summands
 
 

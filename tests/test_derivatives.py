@@ -1,6 +1,7 @@
 import random
 import string
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ from synka import (
     unfold_as_term,
 )
 from synka.checks import random_term
-from synka.terms import postorder
+from synka.terms import postorder, printed_forms
 
 
 def test_nullable_examples():
@@ -285,6 +286,46 @@ def test_unfold_term_shape():
     from synka import Plus
 
     assert unfold_as_term(Atom("a")) == Plus(Zero(), Seq(Atom("a"), One()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["a", "ab", "abc", "abcd", "abcde"]).flatmap(term_strategy))
+def test_unfold_lists_the_table_by_symbol_then_printed_continuation(term):
+    assert unfold(term)[1] == sorted(
+        ((symbol, target) for symbol, targets in transitions(term).items() for target in targets),
+        key=lambda pair: (pair[0], str(pair[1])))
+
+
+def test_unfold_prints_the_continuations_of_a_wide_product_in_one_walk(monkeypatch):
+    # Three-fold (a+b+c+d)* reads every set of one to three letters, but
+    # those 14 symbols reach only 3 distinct target sets; 10 of them have
+    # more than one continuation, and one walk prints them all.
+    term = parse_term(" & ".join(["(a+b+c+d)*"] * 3))
+    table = transitions(term)
+    assert len(table) == 14
+    assert len(set(table.values())) == 3
+    assert sum(len(targets) > 1 for targets in table.values()) == 10
+    calls = []
+
+    def counted(terms):
+        calls.append(terms)
+        return printed_forms(terms)
+
+    monkeypatch.setattr("synka.derivatives.printed_forms", counted)
+    empty_part, summands = unfold(term)
+    assert len(calls) == 1
+    assert empty_part and len(summands) == sum(map(len, table.values()))
+
+
+@pytest.mark.parametrize("text, k", [("(a+b+c+d+e+f)*", 2), ("(a+b+c+d+e+f)*", 3), ("(a+b;a)*", 3)])
+def test_wide_product_tables_match_reference(text, k):
+    # Products of many-letter stars, where many symbol pairs share one pair
+    # of continuation sets, at every state and on every symbol.
+    term = parse_term(" & ".join([text] * k))
+    for state in explore(term).states:
+        table = transitions(state)
+        for symbol in nonempty_subsets(letters(term)):
+            assert table.get(symbol, frozenset()) == reference_derive(state, symbol), (state, symbol)
 
 
 def test_to_dot_names_each_state_by_its_printed_form():
