@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "countermodel": (
-        "DAGGER", "Dagger", "ModelElement", "UnaryLang", "cm_dot", "cm_plus", "cm_star",
-        "cm_sync", "eval_cm",
+        "DAGGER", "Dagger", "ModelElement", "UnaryLang", "eval_cm",
     ),
     "derivatives": (
         "explore", "member", "nullable", "step", "to_dot", "transitions", "unfold",

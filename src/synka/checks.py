@@ -27,7 +27,6 @@ from .countermodel import (
     MODEL_OPS,
     ModelElement,
     UnaryLang,
-    cm_sync,
     eval_cm,
 )
 from .derivatives import nullable, step, unfold_as_term
@@ -413,7 +412,7 @@ def check_countermodel(seed: int, iters: int = 300) -> list[CheckResult]:
     result = CheckResult("finite x infinite stays infinite")
     for fin in finite:
         for inf in infinite:
-            product = cm_sync(fin, inf)
+            product = MODEL_OPS.sync(fin, inf)
             result.record(isinstance(product, UnaryLang) and product.is_infinite,
                           lambda: "%s x %s = %s" % (fin, inf, product))
     results.append(result)

@@ -3,20 +3,23 @@
 Over a single letter, a synchronous word is determined by its length, so a
 language is just a set of naturals; every set reachable from the generator
 ``{1}`` by the operators below is eventually periodic and is represented
-exactly by a finite prefix plus a repeating residue pattern. The carrier
-adds one extra element, ``DAGGER``, to which the synchronous product of
-two infinite languages collapses. All other operator cases follow the
-usual language operations, with the case analyses applied in priority
-order (for instance, an empty operand wins over ``DAGGER`` in
-concatenation).
+exactly by a finite prefix plus a repeating residue pattern.
 
-On length sets the operators reduce to arithmetic: union for choice,
-the sum-set for concatenation, the pointwise maximum for the synchronous
-product (the product of two words is as long as the longer one), and the
-additive closure including 0 for iteration. A set is a threshold, a
-period and two ints of bits (the eventually periodic form of Chrobak,
-"Finite automata and unary languages", 1986), and each operator works on
-the bits with shifts, ORs and ANDs, never one natural at a time.
+The exact model, ``EXACT_OPS``, reads each operator as arithmetic on these
+length sets: union for choice, the sum-set for concatenation, the pointwise
+maximum for the synchronous product (the product of two words is as long
+as the longer one), and the additive closure including 0 for iteration. So
+a term's exact value is the set of word lengths of its language. A set is
+a threshold, a period and two ints of bits (the eventually periodic form
+of Chrobak, "Finite automata and unary languages", 1986), and each operator
+works on the bits with shifts, ORs and ANDs, never one natural at a time.
+
+The countermodel, ``MODEL_OPS``, changes one rule of the exact model: the
+synchronous product of two infinite sets is an extra element, ``DAGGER``.
+``DAGGER`` absorbs every operator, except that an empty operand of ``;``
+or ``&`` wins over it. The original axioms hold in this model, yet it
+tells ``a* & a*`` from ``a*``, which have the same language, so the axioms
+are incomplete.
 
 The four operations on sets, ``union``, ``sum_set``, ``max_set`` and
 ``star_closure``, are pure functions of canonical values, and the terms
@@ -25,12 +28,12 @@ of one workload apply them to few distinct sets, so each keeps a
 and compares by its canonical ints, so a hit returns a value equal to
 the one the operation computes.
 
-``MODEL_OPS`` is the model as a ``terms.Ops`` record, and ``eval_cm`` is
-one ``terms.evaluate`` call with it, so each distinct subterm of a term
-that shares subterms (as solved normal forms do) is evaluated once, with
-no Python recursion. The model interprets only the original signature,
-so ``MODEL_OPS`` has no ``h`` and a term with ``H`` raises
-``terms.HTermError``, which this module re-exports as ``HTermError``.
+``eval_cm`` is one ``terms.evaluate`` call with ``MODEL_OPS``, so each
+distinct subterm of a term that shares subterms (as solved normal forms
+do) is evaluated once, with no Python recursion. Both models interpret
+only the original signature, so neither record has an ``h``, and a term
+with ``H`` raises ``terms.HTermError``, which this module re-exports as
+``HTermError``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Union
 
 from .terms import HTermError, Ops, Term, evaluate
@@ -52,6 +55,8 @@ class Dagger:
     """The absorbing extra element; not a language."""
 
     _instance = None
+    # No set, so not the empty one.
+    is_empty = False
 
     def __new__(cls):
         if cls._instance is None:
@@ -143,6 +148,8 @@ class UnaryLang:
         """The set with the given members below ``threshold`` plus every
         ``n >= threshold`` with ``(n - threshold) % period`` among
         ``residues``."""
+        if threshold < 0:
+            raise ValueError("threshold must be a natural")
         if period < 1:
             raise ValueError("period must be positive")
         lows = set(low)
@@ -316,40 +323,39 @@ ModelElement = Union[Dagger, UnaryLang]
 
 _EMPTY = UnaryLang.from_members(())
 
-
-def cm_plus(k: ModelElement, l: ModelElement) -> ModelElement:
-    if k is DAGGER or l is DAGGER:
-        return DAGGER
-    return k.union(l)
+# The exact one-letter semantics: a language is its set of word lengths.
+EXACT_OPS = Ops(plus=UnaryLang.union, dot=UnaryLang.sum_set, sync=UnaryLang.max_set,
+                star=UnaryLang.star_closure, zero=_EMPTY, one=UnaryLang.epsilon())
 
 
-def cm_dot(k: ModelElement, l: ModelElement) -> ModelElement:
-    # Emptiness wins over DAGGER: the empty language annihilates first.
-    if (isinstance(k, UnaryLang) and k.is_empty) or (isinstance(l, UnaryLang) and l.is_empty):
-        return _EMPTY
-    if k is DAGGER or l is DAGGER:
-        return DAGGER
-    return k.sum_set(l)
+def _with_dagger(
+    operation: Callable[[UnaryLang, UnaryLang], ModelElement], empty_wins: bool
+) -> Callable[[ModelElement, ModelElement], ModelElement]:
+    """``operation`` extended to ``DAGGER``, which absorbs: the result is
+    ``DAGGER`` when an operand is, unless ``empty_wins`` and the other
+    operand is empty, which gives the empty set."""
+
+    def apply(k: ModelElement, l: ModelElement) -> ModelElement:
+        if k is DAGGER or l is DAGGER:
+            return _EMPTY if empty_wins and (k.is_empty or l.is_empty) else DAGGER
+        return operation(k, l)
+
+    return apply
 
 
-def cm_sync(k: ModelElement, l: ModelElement) -> ModelElement:
-    if (isinstance(k, UnaryLang) and k.is_empty) or (isinstance(l, UnaryLang) and l.is_empty):
-        return _EMPTY
-    if k is DAGGER or l is DAGGER:
-        return DAGGER
-    if k.is_infinite and l.is_infinite:
-        return DAGGER
-    return k.max_set(l)
+def _product(k: UnaryLang, l: UnaryLang) -> ModelElement:
+    """The model's one departure from the exact semantics: the product of
+    two infinite sets is ``DAGGER``."""
+    return DAGGER if k.is_infinite and l.is_infinite else k.max_set(l)
 
 
-def cm_star(k: ModelElement) -> ModelElement:
-    if k is DAGGER:
-        return DAGGER
-    return k.star_closure()
+MODEL_OPS = EXACT_OPS._replace(
+    plus=_with_dagger(EXACT_OPS.plus, empty_wins=False),
+    dot=_with_dagger(EXACT_OPS.dot, empty_wins=True),
+    sync=_with_dagger(_product, empty_wins=True),
+    star=lambda k: DAGGER if k is DAGGER else k.star_closure(),
+)
 
-
-MODEL_OPS = Ops(plus=cm_plus, dot=cm_dot, sync=cm_sync, star=cm_star, zero=_EMPTY,
-                one=UnaryLang.epsilon())
 _GENERATOR = UnaryLang.generator()
 
 

@@ -28,7 +28,7 @@ from collections import namedtuple
 
 from .derivatives import explore, nullable
 from .semilattice import canonical_atom
-from .terms import One, Plus, Star, Term, Zero, then
+from .terms import One, Plus, Star, Term, Zero, chain, then
 
 
 class NotGuardedError(ValueError):
@@ -65,14 +65,14 @@ def build_system(term: Term) -> LinearSystem:
 
     The initial term comes first in the state order; the remaining states
     follow in the order of ``explore``, by printed form. Matrix entries sum
-    canonical atoms in symbol order and are stored row by row in state
-    order, so equal inputs build identical systems.
+    canonical atoms in symbol order. Rows are stored in state order, each
+    row's entries in the order its symbols first reach them, and
+    ``LinearSystem.rows`` sorts a row by target. No step depends on how
+    terms hash, so equal inputs build identical systems.
     """
     automaton = explore(term)
-    # The start state first, then the others in printed order, and the
-    # inverse permutation: each state's position in that order.
+    # The start state first, then the others in printed order.
     order = sorted(range(len(automaton.states)), key=automaton.start.__ne__)
-    position = sorted(range(len(order)), key=order.__getitem__)
     states = tuple(automaton.states[i] for i in order)
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
@@ -84,8 +84,8 @@ def build_system(term: Term) -> LinearSystem:
             for j in targets:
                 seen = sums.get(j)
                 sums[j] = atom if seen is None else Plus(seen, atom)
-        for j in sorted(sums, key=position.__getitem__):
-            matrix[(source, automaton.states[j])] = sums[j]
+        for j, entry in sums.items():
+            matrix[(source, automaton.states[j])] = entry
     return LinearSystem(states=states, matrix=matrix, vector=vector)
 
 
@@ -109,20 +109,6 @@ def _star(a: Term) -> Term:
     if isinstance(a, (Zero, One)):
         return One()
     return Star(a)
-
-
-def _summands(entry: Term) -> list[Term]:
-    """The operands of the ``+`` chain of ``entry``, left to right."""
-    out = []
-    stack = [entry]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Plus):
-            stack.append(term.right)
-            stack.append(term.left)
-        else:
-            out.append(term)
-    return out
 
 
 def _bisimulation_classes(vector: list[Term], edges: list[list[tuple[Term, int]]]) -> list[int]:
@@ -178,7 +164,7 @@ def solve(system: LinearSystem) -> dict[Term, Term]:
             if nullable(entry):
                 raise NotGuardedError("matrix entry (%s, %s) = %s accepts the empty word"
                                       % (source, states[target], entry))
-        edges.append([(s, t) for t, entry in row for s in _summands(entry)])
+        edges.append([(s, t) for t, entry in row for s in chain(entry, Plus)])
     classes = _bisimulation_classes([system.vector[state] for state in states], edges)
 
     # The quotient system over class numbers: one sparse row per class, from

@@ -41,6 +41,7 @@ unit law ``1 ; e = e`` applied, for the continuations of
 ``derivatives.transitions`` and the normal forms of ``normalform``. So a
 state derived from a chain adds O(1) new nodes, not a fresh copy of the
 chain, and an atom's step to ``1`` continues with the rest itself.
+``chain`` lists the operands of a ``;``- or ``+``-chain over a stack.
 ``printed_forms`` prints terms with minimal parentheses, in one walk over
 all of them, so a node the terms share is visited once (``str`` is that
 walk over one term); each walks a stack of its own, as it needs more than
@@ -367,6 +368,23 @@ def size(term: Term) -> int:
     return counts[term]
 
 
+def chain(term: Term, cls: type[_Binary]) -> list[Term]:
+    """The operands of the ``cls``-chain of ``term``, left to right: its
+    nodes reached through ``cls`` nodes alone that are not themselves a
+    ``cls``, found over an explicit stack. A ``term`` that is not a ``cls``
+    is its own only operand."""
+    operands = []
+    pending = [term]
+    while pending:
+        node = pending.pop()
+        if type(node) is cls:
+            pending.append(node.right)
+            pending.append(node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
 def then(first: Term, rest: Term) -> Term:
     """``first ; rest`` with the ``;``-chain of ``first`` nested to the right
     and its ``1`` factors dropped by the unit law ``1 ; e = e``, the
@@ -374,20 +392,10 @@ def then(first: Term, rest: Term) -> Term:
     ``then((a ; b) ; c, d)`` is ``a ; (b ; (c ; d))`` and ``then(1, d)`` is
     ``d``. ``;`` is associative with unit ``1``, so the language is that of
     ``Seq(first, rest)``. A ``first`` that is not a ``;`` costs at most one
-    constructor call; a chain is walked over an explicit stack."""
+    constructor call; a chain's factors are found by ``chain``."""
     if type(first) is not Seq:
         return rest if first is _ONE else Seq(first, rest)
-    # The chain's factors, left to right: its nodes that are not a ``;``.
-    factors = []
-    pending = [first]
-    while pending:
-        node = pending.pop()
-        if type(node) is Seq:
-            pending.append(node.right)
-            pending.append(node.left)
-        else:
-            factors.append(node)
-    for factor in reversed(factors):
+    for factor in reversed(chain(first, Seq)):
         if factor is not _ONE:
             rest = Seq(factor, rest)
     return rest

@@ -23,7 +23,8 @@ recursion over the term (``reference_is_nsf``), a term's facts
 (``reference_first_h``), a
 term's distinct nodes in post-order, bounded languages and the
 countermodel value of a term are recomputed by plain recursive tree
-walks, a term is printed by recursion over it as a tree and parsed by
+walks, the last with one case analysis per operator
+(``reference_model_ops``), a term is printed by recursion over it as a tree and parsed by
 recursive descent, and the
 unary-set operators are recomputed by plain enumeration up to a horizon
 and by ``ReferenceUnaryLang``, which tests membership one natural at a
@@ -43,12 +44,14 @@ from typing import Callable
 from hypothesis import strategies as st
 
 from synka import (
+    DAGGER,
     Atom,
     BoundedLang,
     H,
     LinearSystem,
     NotGuardedError,
     One,
+    Ops,
     Plus,
     Seq,
     Star,
@@ -60,10 +63,6 @@ from synka import (
     UnknownLetterError,
     Zero,
     canonical_atom,
-    cm_dot,
-    cm_plus,
-    cm_star,
-    cm_sync,
     lang_concat,
     lang_h,
     lang_star,
@@ -526,24 +525,63 @@ def reference_sem_bounded(term, bound: int) -> BoundedLang:
     raise TypeError("unknown term node %r" % (term,))
 
 
+def _reference_model_plus(k, l):
+    if k is DAGGER or l is DAGGER:
+        return DAGGER
+    return k.union(l)
+
+
+def _reference_model_dot(k, l):
+    # Emptiness wins over DAGGER: the empty language annihilates first.
+    if (isinstance(k, UnaryLang) and k.is_empty) or (isinstance(l, UnaryLang) and l.is_empty):
+        return UnaryLang.empty()
+    if k is DAGGER or l is DAGGER:
+        return DAGGER
+    return k.sum_set(l)
+
+
+def _reference_model_sync(k, l):
+    if (isinstance(k, UnaryLang) and k.is_empty) or (isinstance(l, UnaryLang) and l.is_empty):
+        return UnaryLang.empty()
+    if k is DAGGER or l is DAGGER:
+        return DAGGER
+    if k.is_infinite and l.is_infinite:
+        return DAGGER
+    return k.max_set(l)
+
+
+def _reference_model_star(k):
+    if k is DAGGER:
+        return DAGGER
+    return k.star_closure()
+
+
+# The one-letter countermodel with each operator's DAGGER and empty-set
+# cases spelled out in priority order, one case analysis per operator.
+reference_model_ops = Ops(plus=_reference_model_plus, dot=_reference_model_dot,
+                          sync=_reference_model_sync, star=_reference_model_star,
+                          zero=UnaryLang.empty(), one=UnaryLang.epsilon())
+
+
 def reference_eval_cm(term):
     """The value of an H-free term in the one-letter countermodel, by a
-    recursive walk of the term as a tree: a shared subterm is evaluated
-    once per occurrence."""
+    recursive walk of the term as a tree with ``reference_model_ops``: a
+    shared subterm is evaluated once per occurrence."""
+    ops = reference_model_ops
     if isinstance(term, Zero):
-        return UnaryLang.empty()
+        return ops.zero
     if isinstance(term, One):
-        return UnaryLang.epsilon()
+        return ops.one
     if isinstance(term, Atom):
         return UnaryLang.generator()
     if isinstance(term, Plus):
-        return cm_plus(reference_eval_cm(term.left), reference_eval_cm(term.right))
+        return ops.plus(reference_eval_cm(term.left), reference_eval_cm(term.right))
     if isinstance(term, Seq):
-        return cm_dot(reference_eval_cm(term.left), reference_eval_cm(term.right))
+        return ops.dot(reference_eval_cm(term.left), reference_eval_cm(term.right))
     if isinstance(term, Sync):
-        return cm_sync(reference_eval_cm(term.left), reference_eval_cm(term.right))
+        return ops.sync(reference_eval_cm(term.left), reference_eval_cm(term.right))
     if isinstance(term, Star):
-        return cm_star(reference_eval_cm(term.inner))
+        return ops.star(reference_eval_cm(term.inner))
     raise TypeError("no model value for %r" % (term,))
 
 

@@ -11,6 +11,7 @@ from helpers import (
     naive_sum,
     naive_union,
     reference_eval_cm,
+    reference_model_ops,
     term_strategy,
 )
 from synka import (
@@ -21,21 +22,19 @@ from synka import (
     Plus,
     Seq,
     SymSet,
+    Sync,
     UnaryLang,
-    cm_dot,
-    cm_plus,
-    cm_star,
-    cm_sync,
     equiv,
     eval_cm,
     evaluate,
     parse_term,
+    sem_bounded,
     to_normal_form,
     word_sync,
 )
 from synka import terms
 from synka.checks import check_countermodel, sample_model_elements
-from synka.countermodel import MEMO_ENTRIES, MODEL_OPS
+from synka.countermodel import EXACT_OPS, MEMO_ENTRIES, MODEL_OPS
 
 
 def test_canonical_representations():
@@ -46,6 +45,14 @@ def test_canonical_representations():
     assert wide.period == 2 and wide.threshold == 0
     assert UnaryLang.from_members(()) == UnaryLang.empty()
     assert UnaryLang.from_members((0,)) == UnaryLang.epsilon()
+
+
+def test_periodic_rejects_bad_threshold_and_period():
+    with pytest.raises(ValueError, match="threshold must be a natural"):
+        UnaryLang.periodic((), -1, 1, ())
+    with pytest.raises(ValueError, match="period must be positive"):
+        UnaryLang.periodic((), 0, 0, ())
+    assert UnaryLang.periodic((), 0, 1, ()) == UnaryLang.empty()
 
 
 def test_membership_and_print():
@@ -167,19 +174,72 @@ def test_memos_stay_within_their_bound():
 
 
 def test_operator_priorities():
-    assert cm_dot(UnaryLang.empty(), DAGGER) == UnaryLang.empty()
-    assert cm_dot(DAGGER, UnaryLang.empty()) == UnaryLang.empty()
-    assert cm_sync(UnaryLang.empty(), DAGGER) == UnaryLang.empty()
-    assert cm_plus(UnaryLang.empty(), DAGGER) is DAGGER
-    assert cm_star(DAGGER) is DAGGER
-    assert cm_dot(DAGGER, UnaryLang.epsilon()) is DAGGER
+    assert MODEL_OPS.dot(UnaryLang.empty(), DAGGER) == UnaryLang.empty()
+    assert MODEL_OPS.dot(DAGGER, UnaryLang.empty()) == UnaryLang.empty()
+    assert MODEL_OPS.sync(UnaryLang.empty(), DAGGER) == UnaryLang.empty()
+    assert MODEL_OPS.plus(UnaryLang.empty(), DAGGER) is DAGGER
+    assert MODEL_OPS.star(DAGGER) is DAGGER
+    assert MODEL_OPS.dot(DAGGER, UnaryLang.epsilon()) is DAGGER
+
+
+def test_model_ops_match_the_case_analyses():
+    # Every ordered pair, and every element under star, of a pool that
+    # holds DAGGER, the empty set, finite and infinite sets.
+    pool = sample_model_elements(random.Random(56))
+    for k in pool:
+        assert MODEL_OPS.star(k) == reference_model_ops.star(k), k
+        for l in pool:
+            for name in ("plus", "dot", "sync"):
+                got = getattr(MODEL_OPS, name)(k, l)
+                assert got == getattr(reference_model_ops, name)(k, l), (name, k, l)
+    assert MODEL_OPS.zero == reference_model_ops.zero and MODEL_OPS.one == reference_model_ops.one
+
+
+def test_model_is_the_exact_model_with_one_rule_changed():
+    # Off DAGGER, the two models differ only on the product of two
+    # infinite sets.
+    pool = [x for x in sample_model_elements(random.Random(57)) if x is not DAGGER]
+    for k in pool:
+        assert MODEL_OPS.star(k) == EXACT_OPS.star(k)
+        for l in pool:
+            assert MODEL_OPS.plus(k, l) == EXACT_OPS.plus(k, l)
+            assert MODEL_OPS.dot(k, l) == EXACT_OPS.dot(k, l)
+            if k.is_infinite and l.is_infinite:
+                assert MODEL_OPS.sync(k, l) is DAGGER
+            else:
+                assert MODEL_OPS.sync(k, l) == EXACT_OPS.sync(k, l)
+
+
+def _exact_value(term):
+    return evaluate(term, EXACT_OPS, lambda _: UnaryLang.generator())
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_strategy("a", allow_h=False))
+def test_exact_model_holds_the_word_lengths(term):
+    # Over one letter a word is its length, and the product of two words
+    # is as long as the longer one, so the exact value of a term, products
+    # included, is the set of its word lengths.
+    bound = 6
+    lengths = {len(w) for w in sem_bounded(term, bound).words}
+    assert _members(_exact_value(term), bound) == lengths
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_strategy("a", allow_h=False), term_strategy("a", allow_h=False))
+def test_equiv_agrees_with_exact_values(left, right):
+    # A one-letter language is its set of word lengths, so two terms are
+    # equivalent exactly when their exact values are equal. ``e & e`` has
+    # the lengths of ``e``, so one pair is always equivalent.
+    for e, f in ((left, right), (left, Plus(left, right)), (Sync(left, left), left)):
+        assert equiv(e, f).equivalent == (_exact_value(e) == _exact_value(f)), (e, f)
 
 
 def test_sync_collapses_infinite_operands():
     naturals = UnaryLang.naturals()
-    assert cm_sync(naturals, naturals) is DAGGER
+    assert MODEL_OPS.sync(naturals, naturals) is DAGGER
     evens = UnaryLang.periodic((), 0, 2, (0,))
-    assert cm_sync(evens, naturals) is DAGGER
+    assert MODEL_OPS.sync(evens, naturals) is DAGGER
 
 
 def test_sync_pointwise_max_example():
@@ -188,7 +248,7 @@ def test_sync_pointwise_max_example():
     b = UnaryLang.from_members((0, 2))
     expected = {max(x, y) for x in (1,) for y in (0, 2)}
     assert expected == {1, 2}
-    assert cm_sync(a, b) == UnaryLang.from_members(expected)
+    assert MODEL_OPS.sync(a, b) == UnaryLang.from_members(expected)
 
 
 def test_max_length_matches_word_product():
@@ -284,9 +344,9 @@ def test_unique_fixpoint_fails_in_model():
     # unique-fixpoint rule.
     empty = UnaryLang.empty()
     generator = UnaryLang.generator()
-    assert cm_plus(empty, cm_dot(generator, DAGGER)) is DAGGER
-    assert cm_dot(cm_star(generator), empty) == empty
-    assert cm_dot(cm_star(generator), empty) != DAGGER
+    assert MODEL_OPS.plus(empty, MODEL_OPS.dot(generator, DAGGER)) is DAGGER
+    assert MODEL_OPS.dot(MODEL_OPS.star(generator), empty) == empty
+    assert MODEL_OPS.dot(MODEL_OPS.star(generator), empty) != DAGGER
 
 
 def test_model_axiom_suite():
@@ -312,16 +372,15 @@ def test_leq_is_inclusion_on_languages():
     a = UnaryLang.from_members((1, 3))
     b = UnaryLang.periodic((), 1, 2, (0,))  # odd lengths
     # The natural order: k <= l when k + l = l.
-    assert cm_plus(a, b) == b
-    assert cm_plus(b, a) != a
-    assert cm_plus(b, DAGGER) is DAGGER
+    assert MODEL_OPS.plus(a, b) == b
+    assert MODEL_OPS.plus(b, a) != a
+    assert MODEL_OPS.plus(b, DAGGER) is DAGGER
 
 
 def test_model_agrees_with_bounded_semantics():
     # For product-free, H-free one-letter terms no dagger can appear, so
     # the model's length set must match the bounded semantics lengths.
     from synka.checks import random_term
-    from synka import sem_bounded
 
     rng = random.Random(54)
     bound = 5

@@ -290,6 +290,17 @@ def test_then_nests_the_chain_of_its_first_operand_to_the_right():
     assert then(_chain(4999), Atom("b")) is _chain(5000)
 
 
+def test_chain_lists_the_operands_left_to_right():
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    assert terms.chain(Plus(Plus(a, Seq(b, c)), Plus(c, a)), Plus) == [a, Seq(b, c), c, a]
+    # A term of another class is its own only operand.
+    assert terms.chain(Seq(b, c), Plus) == [Seq(b, c)]
+    assert terms.chain(One(), Seq) == [One()]
+    # Far past the recursion limit, nested either way.
+    atoms = [Atom("ab"[i % 2]) for i in range(5000)]
+    assert terms.chain(_chain(5000), Seq) == terms.chain(_left_chain(5000), Seq) == atoms
+
+
 @given(term_strategy("ab"), term_strategy("ab"))
 def test_then_denotes_the_sequence_and_nests_its_spine(first, rest):
     # The language of ``first ; rest``, and down the spine to ``rest`` no
