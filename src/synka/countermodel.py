@@ -87,6 +87,13 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
+def _check_shape(threshold: int, period: int) -> None:
+    if threshold < 0:
+        raise ValueError("threshold must be a natural")
+    if period < 1:
+        raise ValueError("period must be positive")
+
+
 class UnaryLang:
     """An eventually periodic set of naturals (word lengths over one
     letter), stored canonically: minimal period first, then minimal
@@ -105,6 +112,9 @@ class UnaryLang:
         """The set that is ``period``-periodic from ``threshold`` and whose
         members below ``threshold + period`` are the set bits of ``bits``,
         stored in canonical form."""
+        _check_shape(threshold, period)
+        if bits < 0:
+            raise ValueError("bits must be a natural")
         cycle = bits >> threshold & _mask(period)
         for candidate in range(1, period):
             if not period % candidate and cycle == _repeat(
@@ -148,10 +158,7 @@ class UnaryLang:
         """The set with the given members below ``threshold`` plus every
         ``n >= threshold`` with ``(n - threshold) % period`` among
         ``residues``."""
-        if threshold < 0:
-            raise ValueError("threshold must be a natural")
-        if period < 1:
-            raise ValueError("period must be positive")
+        _check_shape(threshold, period)
         lows = set(low)
         offs = {r % period for r in residues}
         if any(v < 0 or v >= threshold for v in lows):

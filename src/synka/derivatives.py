@@ -16,12 +16,13 @@ forms all read its tables. A ``&`` table reads many more symbols than it
 has distinct continuation sets, so each distinct pair of operand sets is
 multiplied once per table, and ``unfold`` prints the continuations of all
 its symbols in one walk per call.
-``explore`` numbers a term's closure under ``transitions`` once, in
-printed order, and reads each table into a row of state indices. So the
-three present a term as the initial state of a nondeterministic automaton
-whose symbols are nonempty letter sets, with the ``nullable`` states
-accepting; ``to_dot``, the linear systems of ``normalform`` and the
-``automaton`` command read that one numbering.
+``explore`` numbers a term's closure under ``transitions`` once, the term
+itself as state 0 and the other states by printed form, and reads each
+table into a row of state indices. So the three present a term as the
+initial state of a nondeterministic automaton whose symbols are nonempty
+letter sets, with the ``nullable`` states accepting; ``to_dot``, the
+linear systems of ``normalform`` and the ``automaton`` command read that
+one numbering.
 
 A table lists only the symbols its term can read, and each of them is a
 subset of the term's letters: an atom reads its own letter, and a product
@@ -139,37 +140,31 @@ def member(word: tuple[SymSet, ...], term: Term) -> bool:
     return any(nullable(state) for state in current)
 
 
-def _printed_order(terms: Iterable[Term]) -> list[tuple[str, Term]]:
-    """Each of ``terms`` after its printed form, sorted by printed form.
-    One ``printed_forms`` walk prints them all, so a node that several
-    terms share, such as the ``e*`` in each ``e' ; e*``, is visited once.
-    Distinct terms print differently, so the order is that of
-    ``sorted(terms, key=str)``."""
-    terms = list(terms)
-    return sorted(zip(printed_forms(terms), terms))
-
-
-Automaton = namedtuple("Automaton", "states forms start rows")
+Automaton = namedtuple("Automaton", "states forms rows")
 
 
 def explore(term: Term) -> Automaton:
-    """The automaton of ``term``, numbered once: ``states`` holds ``term`` and
-    every term its transitions reach, by printed form, ``forms`` their
-    printed forms and ``start`` the index of ``term``. ``rows[i]`` lists the
-    symbols state ``i`` reads, sorted, each with its targets' sorted indices."""
-    seen = {term}
+    """The automaton of ``term``, numbered once: ``states[0]`` is ``term``
+    and the other terms its transitions reach follow by printed form, and
+    ``forms`` holds their printed forms. ``rows[i]`` lists the symbols state
+    ``i`` reads, sorted, each with its targets' sorted indices. One
+    ``printed_forms`` walk prints every state, so a node that several states
+    share, such as the ``e*`` in each ``e' ; e*``, is visited once; distinct
+    terms print differently, so the order does not depend on hashing."""
+    seen = {term: None}  # a dict keeps insertion order, so term comes first
     stack = [term]
     while stack:
         for targets in transitions(stack.pop()).values():
             for target in targets:
                 if target not in seen:
-                    seen.add(target)
+                    seen[target] = None
                     stack.append(target)
-    forms, states = zip(*_printed_order(seen))
+    first, *rest = zip(printed_forms(seen), seen)
+    forms, states = zip(first, *sorted(rest))
     index = {state: i for i, state in enumerate(states)}
     rows = [[(symbol, sorted(map(index.__getitem__, table[symbol])))
              for symbol in sorted(table)] for table in map(transitions, states)]
-    return Automaton(states, forms, index[term], rows)
+    return Automaton(states, forms, rows)
 
 
 def unfold(term: Term) -> tuple[bool, list[tuple[SymSet, Term]]]:
@@ -202,8 +197,9 @@ def unfold_as_term(term: Term) -> Term:
 
 def to_dot(automaton: Automaton) -> str:
     """Render an automaton that ``explore`` returned in Graphviz DOT format:
-    one node per state, accepting states double-circled, and one edge per
-    transition, labelled with its symbol set."""
+    one node per state in state order, accepting states double-circled, an
+    arrow from ``__start`` into state 0, and one edge per transition,
+    labelled with its symbol set."""
 
     def quote(text: str) -> str:
         return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
@@ -213,7 +209,7 @@ def to_dot(automaton: Automaton) -> str:
     for name, state in zip(names, automaton.states):
         shape = "doublecircle" if nullable(state) else "circle"
         lines.append("  %s [shape=%s];" % (name, shape))
-    lines.append("  __start -> %s;" % names[automaton.start])
+    lines.append("  __start -> %s;" % names[0])
     for name, row in zip(names, automaton.rows):
         for symbol, targets in row:
             label = quote(str(symbol))

@@ -50,42 +50,47 @@ class LinearSystem(namedtuple("LinearSystem", "states matrix vector")):
 
     def rows(self) -> list[list[tuple[int, Term]]]:
         """Each state's nonzero entries as ``(target index, entry)`` pairs in
-        target order, indexed like ``states``."""
+        target order, indexed like ``states``. A system that lists a state
+        twice, lacks a vector entry or has a matrix entry at a state outside
+        ``states`` raises ``ValueError`` naming the state."""
         index = {state: i for i, state in enumerate(self.states)}
+        for i, state in enumerate(self.states):
+            if index[state] != i:
+                raise ValueError("state %s is listed twice" % state)
+            if state not in self.vector:
+                raise ValueError("the vector has no entry for state %s" % state)
         rows: list[list[tuple[int, Term]]] = [[] for _ in self.states]
-        for (source, target), entry in self.matrix.items():
-            rows[index[source]].append((index[target], entry))
+        try:
+            for (source, target), entry in self.matrix.items():
+                rows[index[source]].append((index[target], entry))
+        except KeyError as error:
+            raise ValueError("matrix entry (%s, %s) names %s, which is not a state"
+                             % (source, target, error.args[0])) from None
         for row in rows:
             row.sort()
         return rows
 
 
 def build_system(term: Term) -> LinearSystem:
-    """The linear system of a term over the states its transitions reach.
-
-    The initial term comes first in the state order; the remaining states
-    follow in the order of ``explore``, by printed form. Matrix entries sum
-    canonical atoms in symbol order. Rows are stored in state order, each
-    row's entries in the order its symbols first reach them, and
-    ``LinearSystem.rows`` sorts a row by target. No step depends on how
-    terms hash, so equal inputs build identical systems.
+    """The linear system of a term over the states its transitions reach,
+    numbered as ``explore`` numbers them: the term first, then the others
+    by printed form. A matrix entry sums the canonical atoms of its symbols
+    in symbol order, and ``LinearSystem.rows`` sorts a row by target. No
+    step depends on how terms hash, so equal inputs build identical
+    systems.
     """
     automaton = explore(term)
-    # The start state first, then the others in printed order.
-    order = sorted(range(len(automaton.states)), key=automaton.start.__ne__)
-    states = tuple(automaton.states[i] for i in order)
+    states = automaton.states
     matrix: dict[tuple[Term, Term], Term] = {}
     vector: dict[Term, Term] = {}
-    for source, i in zip(states, order):
+    for source, row in zip(states, automaton.rows):
         vector[source] = One() if nullable(source) else Zero()
-        sums: dict[int, Term] = {}
-        for symbol, targets in automaton.rows[i]:
+        for symbol, targets in row:
             atom = canonical_atom(symbol)
             for j in targets:
-                seen = sums.get(j)
-                sums[j] = atom if seen is None else Plus(seen, atom)
-        for j, entry in sums.items():
-            matrix[(source, automaton.states[j])] = entry
+                key = (source, states[j])
+                seen = matrix.get(key)
+                matrix[key] = atom if seen is None else Plus(seen, atom)
     return LinearSystem(states=states, matrix=matrix, vector=vector)
 
 

@@ -321,7 +321,8 @@ def reference_closure(term: Term, then=reference_then, sync=reference_sync) -> f
 
 def reference_reachable_states(term: Term) -> tuple[Term, ...]:
     """The states of ``term``'s automaton, found by a recursive closure
-    over ``transitions`` and sorted by each state's own ``str``."""
+    over ``transitions``: ``term`` first, then the rest sorted by each
+    state's own ``str``, the order of ``reference_build_system``."""
     closure = set()
 
     def visit(state):
@@ -332,7 +333,7 @@ def reference_reachable_states(term: Term) -> tuple[Term, ...]:
                     visit(target)
 
     visit(term)
-    return tuple(sorted(closure, key=str))
+    return (term, *sorted(closure - {term}, key=str))
 
 
 def reference_build_system(term) -> LinearSystem:

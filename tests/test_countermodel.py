@@ -55,6 +55,17 @@ def test_periodic_rejects_bad_threshold_and_period():
     assert UnaryLang.periodic((), 0, 1, ()) == UnaryLang.empty()
 
 
+@pytest.mark.parametrize("threshold, period, bits, message", [
+    (-1, 1, 0, "threshold must be a natural"),
+    (0, 0, 1, "period must be positive"),
+    (2, 1, -5, "bits must be a natural"),
+    (0, 1, -1, "bits must be a natural"),
+])
+def test_constructor_rejects_bad_threshold_period_and_bits(threshold, period, bits, message):
+    with pytest.raises(ValueError, match=message):
+        UnaryLang(threshold, period, bits)
+
+
 def test_membership_and_print():
     evens = UnaryLang.periodic((), 0, 2, (0,))
     assert 0 in evens and 4 in evens and 3 not in evens

@@ -17,6 +17,7 @@ from synka import (
     SymSet,
     Sync,
     Zero,
+    build_system,
     explore,
     letters,
     member,
@@ -191,6 +192,7 @@ def test_build_automaton_lists_only_reached_states():
 
 
 def test_reachable_states_sorted_by_printed_form():
+    # The explored term first, then the other states by printed form.
     rng = random.Random(7)
     for _ in range(100):
         term = random_term(rng, "ab", rng.randint(1, 9))
@@ -199,13 +201,27 @@ def test_reachable_states_sorted_by_printed_form():
         assert len(set(states)) == len(states)
 
 
+@settings(max_examples=200)
+@given(term_strategy())
+def test_explore_numbers_the_term_first_in_every_layer(term):
+    automaton = explore(term)
+    states = automaton.states
+    assert states[0] is term
+    rest = [str(state) for state in states[1:]]
+    assert rest == sorted(rest)
+    assert build_system(term).states == states
+    lines = to_dot(automaton).splitlines()
+    assert lines[3].startswith('  "%s" [shape=' % term)
+    assert lines[3 + len(states)] == '  __start -> "%s";' % term
+
+
 @settings(max_examples=100)
 @given(st.sampled_from(["a", "ab", "abc"]).flatmap(term_strategy))
 def test_explore_numbers_the_tables(term):
     automaton = explore(term)
     states = automaton.states
     assert states == reference_reachable_states(term)
-    assert states[automaton.start] is term
+    assert states[0] is term
     assert list(automaton.forms) == [str(state) for state in states]
     assert len(automaton.rows) == len(states)
     index = {state: i for i, state in enumerate(states)}
@@ -231,7 +247,7 @@ def test_build_automaton_zero():
 
 
 def test_build_automaton_letter():
-    assert explore(Atom("a")).states == (One(), Atom("a"))
+    assert explore(Atom("a")).states == (Atom("a"), One())
     assert transitions(Atom("a")) == {SymSet("a"): frozenset((One(),))}
     assert transitions(One()) == {}
     assert nullable(One()) and not nullable(Atom("a"))
@@ -344,13 +360,14 @@ def test_to_dot():
     assert '"a" -> "1" [label="{a}"];' in dot
     assert '"1" [shape=doublecircle];' in dot
     assert '"a" [shape=circle];' in dot
-    # States by printed form, then each state's edges by symbol and target.
+    # The start state, then the others by printed form, then each state's
+    # edges by symbol and target.
     assert to_dot(explore(parse_term("a + a;b"))).splitlines() == [
         "digraph {",
         "  rankdir=LR;",
         '  __start [shape=point, label=""];',
-        '  "1" [shape=doublecircle];',
         '  "a + a ; b" [shape=circle];',
+        '  "1" [shape=doublecircle];',
         '  "b" [shape=circle];',
         '  __start -> "a + a ; b";',
         '  "a + a ; b" -> "1" [label="{a}"];',

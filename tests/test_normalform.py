@@ -198,6 +198,30 @@ def test_rows_and_solve_ignore_matrix_insertion_order():
     assert solutions[0][0] == (p, "(a ; a* ; b + b ; (a + b)* ; a)* ; (b ; (a + b)* + a ; a*)")
 
 
+def test_system_with_a_matrix_entry_outside_its_states_is_rejected():
+    a, b, x = Atom("a"), Atom("b"), Atom("x")
+    system = LinearSystem(states=(a,), matrix={(a, x): b}, vector={a: One()})
+    for read in (solve, format_system):
+        with pytest.raises(ValueError, match=r"matrix entry \(a, x\) names x, which is not a state"):
+            read(system)
+
+
+def test_system_whose_vector_lacks_a_state_is_rejected():
+    a, b = Atom("a"), Atom("b")
+    system = LinearSystem(states=(a, b), matrix={(a, b): b}, vector={a: One()})
+    for read in (solve, format_system):
+        with pytest.raises(ValueError, match="the vector has no entry for state b"):
+            read(system)
+
+
+def test_system_listing_a_state_twice_is_rejected():
+    a, b = Atom("a"), Atom("b")
+    system = LinearSystem(states=(a, a), matrix={(a, a): b}, vector={a: One()})
+    for read in (solve, format_system):
+        with pytest.raises(ValueError, match="state a is listed twice"):
+            read(system)
+
+
 def test_solve_rejects_unguarded():
     q = Atom("q")
     system = LinearSystem(
