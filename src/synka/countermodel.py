@@ -10,9 +10,11 @@ length sets: union for choice, the sum-set for concatenation, the pointwise
 maximum for the synchronous product (the product of two words is as long
 as the longer one), and the additive closure including 0 for iteration. So
 a term's exact value is the set of word lengths of its language. A set is
-a threshold, a period and two ints of bits (the eventually periodic form
-of Chrobak, "Finite automata and unary languages", 1986), and each operator
-works on the bits with shifts, ORs and ANDs, never one natural at a time.
+a threshold, a period and one int of bits, its members below the threshold
+plus one period (the eventually periodic form of Chrobak, "Finite automata
+and unary languages", 1986). That window is what the constructor takes, so
+``UnaryLang(x.threshold, x.period, x.bits) == x``, and each operator works
+on the bits with shifts, ORs and ANDs, never one natural at a time.
 
 The countermodel, ``MODEL_OPS``, changes one rule of the exact model: the
 synchronous product of two infinite sets is an extra element, ``DAGGER``.
@@ -25,8 +27,8 @@ The four operations on sets, ``union``, ``sum_set``, ``max_set`` and
 ``star_closure``, are pure functions of canonical values, and the terms
 of one workload apply them to few distinct sets, so each keeps a
 ``functools.lru_cache`` of its last ``MEMO_ENTRIES`` calls. A set hashes
-and compares by its canonical ints, so a hit returns a value equal to
-the one the operation computes.
+and compares by its canonical threshold, period and bits, so a hit returns
+a value equal to the one the operation computes.
 
 ``eval_cm`` is one ``terms.evaluate`` call with ``MODEL_OPS``, so each
 distinct subterm of a term that shares subterms (as solved normal forms
@@ -97,8 +99,10 @@ def _check_shape(threshold: int, period: int) -> None:
 class UnaryLang:
     """An eventually periodic set of naturals (word lengths over one
     letter), stored canonically: minimal period first, then minimal
-    threshold. A natural ``n >= threshold`` belongs exactly when the cycle
-    bit at ``(n - threshold) % period`` is set.
+    threshold. ``bits`` holds the members below ``threshold + period``, the
+    window the constructor takes, and bits ``threshold`` up to that end are
+    the cycle. A natural ``n >= threshold`` belongs exactly when the cycle
+    bit at ``threshold + (n - threshold) % period`` is set.
 
     The operations compute on these ints directly: each builds the bits of
     its result below one threshold and period (a window) with shifts, ORs
@@ -106,7 +110,7 @@ class UnaryLang:
     ``MEMO_ENTRIES`` calls; ``__wrapped__`` is the uncached function.
     """
 
-    __slots__ = ("threshold", "period", "low_bits", "cycle_bits", "_hash")
+    __slots__ = ("threshold", "period", "bits", "_hash")
 
     def __init__(self, threshold: int, period: int, bits: int):
         """The set that is ``period``-periodic from ``threshold`` and whose
@@ -126,17 +130,14 @@ class UnaryLang:
         threshold = ((bits ^ bits >> period) & _mask(threshold)).bit_length()
         self.threshold = threshold
         self.period = period
-        self.low_bits = bits & _mask(threshold)
-        self.cycle_bits = bits >> threshold & _mask(period)
-        self._hash = hash((threshold, period, self.low_bits, self.cycle_bits))
+        self.bits = bits & _mask(threshold + period)
+        self._hash = hash((threshold, period, self.bits))
 
     def _window(self, end: int) -> int:
         """The members below ``end``, as bits."""
-        threshold = self.threshold
-        if end <= threshold:
-            return self.low_bits & _mask(end)
-        cycles = _repeat(self.cycle_bits, self.period, -(-(end - threshold) // self.period))
-        return (self.low_bits | cycles << threshold) & _mask(end)
+        threshold, period, bits = self.threshold, self.period, self.bits
+        cycles = _repeat(bits >> threshold, period, max(0, -(-(end - threshold) // period)))
+        return (bits | cycles << threshold) & _mask(end)
 
     @classmethod
     def from_members(cls, members: Iterable[int]) -> UnaryLang:
@@ -185,26 +186,20 @@ class UnaryLang:
         return cls(0, 1, 1)
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n < self.threshold:
-            return bool(self.low_bits >> n & 1)
-        return bool(self.cycle_bits >> ((n - self.threshold) % self.period) & 1)
+        if n >= self.threshold:
+            n = self.threshold + (n - self.threshold) % self.period
+        return n >= 0 and bool(self.bits >> n & 1)
 
     @property
     def is_empty(self) -> bool:
-        return not self.low_bits and not self.cycle_bits
+        return not self.bits
 
     @property
     def is_infinite(self) -> bool:
-        return bool(self.cycle_bits)
+        return bool(self.bits >> self.threshold)
 
     def min_element(self) -> int | None:
-        if self.low_bits:
-            return _lowest(self.low_bits)
-        if self.cycle_bits:
-            return self.threshold + _lowest(self.cycle_bits)
-        return None
+        return _lowest(self.bits) if self.bits else None
 
     def __hash__(self) -> int:
         return self._hash
@@ -214,13 +209,12 @@ class UnaryLang:
             isinstance(other, UnaryLang)
             and self.threshold == other.threshold
             and self.period == other.period
-            and self.low_bits == other.low_bits
-            and self.cycle_bits == other.cycle_bits
+            and self.bits == other.bits
         )
 
     def __str__(self) -> str:
-        low = ",".join(str(n) for n in range(self.threshold) if self.low_bits >> n & 1)
-        cycle = ",".join(str(i) for i in range(self.period) if self.cycle_bits >> i & 1)
+        low = ",".join(str(n) for n in range(self.threshold) if self.bits >> n & 1)
+        cycle = ",".join(str(i) for i in range(self.period) if self.bits >> self.threshold + i & 1)
         return "{%s} + {%s} mod %d from %d" % (low, cycle, self.period, self.threshold)
 
     def __repr__(self) -> str:

@@ -51,6 +51,20 @@ def _merge(into: dict[SymSet, frozenset[Term]], table: Mapping[SymSet, frozenset
         into[symbol] = targets if seen is None else seen | targets
 
 
+def _fill_left_spine(term: Plus | Sync) -> None:
+    """Build, bottom up, the missing tables down the left spine of a sum or
+    product whose left operand has the same operator, so that each call
+    finds its left operand's table built and recurses only to the right.
+    The parser nests a flat ``a + b + …`` or ``a & b & …`` to the left."""
+    spine = []
+    left = term.left
+    while type(left) is type(term) and left._transitions is None:
+        spine.append(left)
+        left = left.left
+    for left in reversed(spine):
+        transitions(left)
+
+
 def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     """The one-step behaviour of ``term``: each symbol set it can read,
     mapped to the nonempty set of continuation terms.
@@ -66,8 +80,9 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     ``a ; f`` steps to ``f`` and ``a*`` to itself, and every state reached
     from a right-nested term is nested to the right too; a ``;`` whose left
     operand is a ``;`` takes the table of its chain nested to the right.
-    The table is built once per node, kept on it, shared by every caller
-    and read-only.
+    A sum or product first builds the missing tables down its left spine,
+    so a flat one of any length is answered. The table is built once per
+    node, kept on it, shared by every caller and read-only.
     """
     cached = term._transitions
     if cached is not None:
@@ -76,6 +91,7 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
     if isinstance(term, Atom):
         table[SymSet(term.letter)] = frozenset((One(),))
     elif isinstance(term, Plus):
+        _fill_left_spine(term)
         _merge(table, transitions(term.left))
         _merge(table, transitions(term.right))
     elif isinstance(term, Seq):
@@ -91,6 +107,7 @@ def transitions(term: Term) -> Mapping[SymSet, frozenset[Term]]:
         for symbol, targets in transitions(term.inner).items():
             table[symbol] = frozenset(then(t, term) for t in targets)
     elif isinstance(term, Sync):
+        _fill_left_spine(term)
         one = One()
         lefts = transitions(term.left)
         rights = transitions(term.right)

@@ -201,6 +201,19 @@ def test_deep_chain_is_a_resource_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("operator, edges", [("+", 2), ("&", 1)])
+def test_flat_sum_and_product_of_5000_operands(capsys, operator, edges):
+    # The parser nests a flat sum or product to the left, and its tables are
+    # built bottom up along that spine, so no call recurses deeply.
+    term = f" {operator} ".join("ab"[i % 2] for i in range(5000))
+    assert run(capsys, "equiv", term, term + " + 0") == (0, "equivalent\n", "")
+    code, out, err = run(capsys, "nf", "--json", term)
+    assert (code, json.loads(out)["states"], err) == (0, 2, "")
+    assert run(capsys, "member", "{a}{b}", term) == (1, "not a member\n", "")
+    assert run(capsys, "automaton", term) == (
+        0, "states: 2\naccepting: 1\ntransitions: %d\n" % edges, "")
+
+
 def test_deep_nesting_parses(capsys):
     # The parser keeps explicit stacks, so nesting is not bounded by the
     # recursion limit.

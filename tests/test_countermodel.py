@@ -120,7 +120,11 @@ def _periodic_args(draw):
 
 
 def _canonical(lang):
-    return lang.threshold, lang.period, lang.low_bits, lang.cycle_bits
+    """``(threshold, period, bits)``, the members below ``threshold + period``
+    as one int; the reference keeps them as two."""
+    if isinstance(lang, ReferenceUnaryLang):
+        return lang.threshold, lang.period, lang.low_bits | lang.cycle_bits << lang.threshold
+    return lang.threshold, lang.period, lang.bits
 
 
 # The memoized set operations; ``__wrapped__`` is each one uncached.
@@ -138,7 +142,8 @@ def test_unary_ops_match_reference(a_args, b_args):
     a, b = UnaryLang.periodic(*a_args), UnaryLang.periodic(*b_args)
     ref_a, ref_b = ReferenceUnaryLang.periodic(*a_args), ReferenceUnaryLang.periodic(*b_args)
     assert _canonical(a) == _canonical(ref_a)
-    assert hash(a) == hash(ref_a) and a.min_element() == ref_a.min_element()
+    rebuilt = UnaryLang(*_canonical(ref_a))
+    assert hash(a) == hash(rebuilt) and a.min_element() == ref_a.min_element()
     # The window constructor canonicalizes a longer threshold and period.
     threshold, period = a.threshold + 3, 2 * a.period
     wide = UnaryLang(threshold, period, a._window(threshold + period))
@@ -154,6 +159,18 @@ def test_unary_ops_match_reference(a_args, b_args):
                 == _canonical(expected))
     assert (_canonical(a.star_closure()) == _canonical(UnaryLang.star_closure.__wrapped__(a))
             == _canonical(ref_a.star_closure()))
+
+
+@settings(max_examples=300)
+@given(_periodic_args(), _periodic_args())
+def test_a_set_is_rebuilt_from_its_stored_window(a_args, b_args):
+    # ``bits`` is exactly the window the constructor takes, for drawn sets
+    # and for what each set operation returns.
+    a, b = UnaryLang.periodic(*a_args), UnaryLang.periodic(*b_args)
+    for x in (a, b, a.union(b), a.sum_set(b), a.max_set(b), a.star_closure(), b.star_closure()):
+        assert x.bits.bit_length() <= x.threshold + x.period
+        rebuilt = UnaryLang(x.threshold, x.period, x.bits)
+        assert rebuilt == x and hash(rebuilt) == hash(x)
 
 
 def test_eval_cm_does_not_depend_on_what_the_memos_hold():
