@@ -13,11 +13,14 @@ a term's exact value is the set of word lengths of its language. A set is
 a threshold, a period and one int of bits, its members below the threshold
 plus one period (the eventually periodic form of Chrobak, "Finite automata
 and unary languages", 1986). That window is what the constructor takes, so
-``UnaryLang(x.threshold, x.period, x.bits) == x``, and each operator works
-on the bits with shifts, ORs and ANDs, never one natural at a time.
+``UnaryLang(x.threshold, x.period, x.bits) == x``. Union, sum and maximum
+work on the bits with shifts, ORs and ANDs, never one natural at a time,
+and star is the least fixpoint of sum and union. ``H`` keeps the empty
+word only, so the exact model reads ``H(k)`` as ``k ∩ {0}``.
 
-The countermodel, ``MODEL_OPS``, changes one rule of the exact model: the
-synchronous product of two infinite sets is an extra element, ``DAGGER``.
+The countermodel, ``MODEL_OPS``, interprets only the original signature,
+without ``H``, and changes one rule of the exact model: the synchronous
+product of two infinite sets is an extra element, ``DAGGER``.
 ``DAGGER`` absorbs every operator, except that an empty operand of ``;``
 or ``&`` wins over it. The original axioms hold in this model, yet it
 tells ``a* & a*`` from ``a*``, which have the same language, so the axioms
@@ -32,16 +35,14 @@ a value equal to the one the operation computes.
 
 ``eval_cm`` is one ``terms.evaluate`` call with ``MODEL_OPS``, so each
 distinct subterm of a term that shares subterms (as solved normal forms
-do) is evaluated once, with no Python recursion. Both models interpret
-only the original signature, so neither record has an ``h``, and a term
-with ``H`` raises ``terms.HTermError``, which this module re-exports as
-``HTermError``.
+do) is evaluated once, with no Python recursion. ``MODEL_OPS.h`` is
+``None``, so ``eval_cm`` of a term with ``H`` raises ``terms.HTermError``,
+which this module re-exports as ``HTermError``.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from collections.abc import Callable, Iterable
 from typing import Union
@@ -104,9 +105,10 @@ class UnaryLang:
     the cycle. A natural ``n >= threshold`` belongs exactly when the cycle
     bit at ``threshold + (n - threshold) % period`` is set.
 
-    The operations compute on these ints directly: each builds the bits of
-    its result below one threshold and period (a window) with shifts, ORs
-    and ANDs, and canonicalizes the window. Each is memoized over its last
+    The operations compute on these ints directly: union, sum and maximum
+    build the bits of their result below one threshold and period (a
+    window) with shifts, ORs and ANDs, and canonicalize the window; star
+    iterates sum and union. Each is memoized over its last
     ``MEMO_ENTRIES`` calls; ``__wrapped__`` is the uncached function.
     """
 
@@ -271,62 +273,41 @@ class UnaryLang:
 
     @functools.lru_cache(maxsize=MEMO_ENTRIES)
     def star_closure(self) -> UnaryLang:
-        """The least set containing 0 and closed under adding members.
+        """The least set containing 0 and closed under adding members, the
+        least solution of ``x = 1 + self ; x``: ``union`` and ``sum_set``
+        iterated until the set stops growing.
 
-        Let ``p`` be the smallest nonzero member. The closure is itself
-        closed under adding ``p``, so within each residue class mod ``p``
-        it is exactly the upward ``p``-progression from the class's first
-        member (the Apéry set of the closure). A class's first member is a
-        shortest path from class 0, where adding a member steps from one
-        class to another at the cost of the member's size; the smallest
-        member of each class is the only step worth taking.
+        Let ``p`` be the least nonzero member. The iteration starts from the
+        multiples of ``p``, which the closure holds, and each round adds the
+        sums that use one more member. The least member of each class mod
+        ``p`` is a sum of fewer than ``p`` nonzero members: a longer sum has
+        two prefix sums equal mod ``p``, so the run of members between them
+        totals a multiple of ``p``, and dropping it leaves a smaller sum in
+        the same class. So the iteration stops within ``p`` rounds.
         """
         # Any nonempty set other than {0} has a nonzero member within one
         # cycle of the threshold, inclusive.
         nonzero = self._window(self.threshold + self.period + 1) & ~1
         if not nonzero:
             return UnaryLang.epsilon()
-        p = _lowest(nonzero)
-
-        # Tail members cycle through the classes mod p with the set's own
-        # period, so p periods past the threshold reach every class it hits.
-        members = self._window(self.threshold + self.period * p) & ~1
-        smallest: dict[int, int] = {}
-        while members and len(smallest) < p:
-            n = _lowest(members)
-            smallest.setdefault(n % p, n)
-            members &= members - 1
-
-        # Dijkstra from class 0: ``first`` maps each class reached to its
-        # first member.
-        first = {0: 0}
-        heap = [(0, 0)]
-        while heap:
-            distance, residue = heapq.heappop(heap)
-            if distance > first[residue]:
-                continue
-            for step_residue, step in smallest.items():
-                target = (residue + step_residue) % p
-                reached = distance + step
-                if target not in first or reached < first[target]:
-                    first[target] = reached
-                    heapq.heappush(heap, (reached, target))
-
-        threshold = max(first.values()) + 1
-        end = threshold + p
-        bits = 0
-        for n in first.values():
-            bits |= _repeat(1, p, -(-(end - n) // p)) << n
-        return UnaryLang(threshold, p, bits & _mask(end))
+        closure = UnaryLang(0, _lowest(nonzero), 1)
+        while True:
+            grown = closure.union(self.sum_set(closure))
+            if grown == closure:
+                return closure
+            closure = grown
 
 
 ModelElement = Union[Dagger, UnaryLang]
 
 _EMPTY = UnaryLang.from_members(())
+_EPSILON = UnaryLang.epsilon()
 
-# The exact one-letter semantics: a language is its set of word lengths.
+# The exact one-letter semantics: a language is its set of word lengths, and
+# H keeps only the empty word, the length 0.
 EXACT_OPS = Ops(plus=UnaryLang.union, dot=UnaryLang.sum_set, sync=UnaryLang.max_set,
-                star=UnaryLang.star_closure, zero=_EMPTY, one=UnaryLang.epsilon())
+                star=UnaryLang.star_closure, zero=_EMPTY, one=_EPSILON,
+                h=lambda k: _EPSILON if 0 in k else _EMPTY)
 
 
 def _with_dagger(
@@ -355,6 +336,7 @@ MODEL_OPS = EXACT_OPS._replace(
     dot=_with_dagger(EXACT_OPS.dot, empty_wins=True),
     sync=_with_dagger(_product, empty_wins=True),
     star=lambda k: DAGGER if k is DAGGER else k.star_closure(),
+    h=None,
 )
 
 _GENERATOR = UnaryLang.generator()

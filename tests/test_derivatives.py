@@ -26,12 +26,13 @@ from synka import (
     parse_term,
     parse_word,
     sem_bounded,
+    step,
     to_dot,
     transitions,
     unfold,
     unfold_as_term,
 )
-from synka.checks import random_term
+from synka.checks import check_derivatives, random_term
 from synka.terms import postorder, printed_forms
 
 
@@ -375,3 +376,40 @@ def test_to_dot():
         '  "b" -> "1" [label="{b}"];',
         "}",
     ]
+
+
+def _without_ab(states):
+    """``step`` that drops every ``{a,b}`` transition."""
+    table = step(states)
+    table.pop(SymSet("ab"), None)
+    return table
+
+
+def _with_c_loop(states):
+    """``step`` that adds a ``{c}`` self-loop to every set of states."""
+    table = step(states)
+    table[SymSet("c")] = table.get(SymSet("c"), frozenset()) | frozenset(states)
+    return table
+
+
+@pytest.mark.parametrize("mutant, line, counts", [
+    (_without_ab, "FAIL derivative soundness: 96/100", [1, 4, 4]),
+    (_with_c_loop, "FAIL derivative soundness: 28/100", [25, 16, 35]),
+])
+def test_derivative_suite_counts_the_words_a_broken_step_gets_wrong(monkeypatch, mutant, line,
+                                                                    counts):
+    # The suite walks only the symbols step reads and counts the expected
+    # words through any other symbol by prefix; these are the reports of a
+    # walk over every symbol, one word at a time.
+    monkeypatch.setattr("synka.checks.step", mutant)
+    [result] = check_derivatives(3, iters=100)
+    assert result.line() == line
+    assert [detail.split(" mismatches on ")[1] for detail in result.details] == [
+        "%d words" % count for count in counts]
+
+
+def test_derivative_suite_answers_on_every_letter():
+    # A word over 26 letters continues with any of 2^26 - 1 symbols, so the
+    # suite follows only those the automaton reads.
+    [result] = check_derivatives(1, iters=30, alphabet=string.ascii_lowercase)
+    assert result.line() == "pass derivative soundness: 30/30"

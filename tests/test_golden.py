@@ -1,5 +1,6 @@
 """Golden outputs: ``nf``, ``nf --system``, ``automaton --json`` and the DOT
-file of fixed terms, byte for byte as ``data/golden.txt`` holds them.
+file of fixed terms, and the ``eval-cm`` value of fixed one-letter terms,
+byte for byte as ``data/golden.txt`` holds them.
 
 Terms hash by identity, so a solve step, a matrix row or a DOT listing
 taken in the hash order of terms would change these bytes between runs;
@@ -27,6 +28,10 @@ _PRODUCT = "(a+b;a)*"
 TERMS = ("a", "0", "a + a;b", "H(a*)", " & ".join([_PRODUCT] * 2), " & ".join([_PRODUCT] * 3),
          "(a;b)* & (b;a)*")
 DIGESTED = (" & ".join([_PRODUCT] * 5),)
+# Terms whose countermodel value is kept: the dagger, stars of finite sets
+# (one reaching threshold 60, one of period 2) and a product with a star.
+EVAL_CM = ("a* & a*", "(a;a;a + a;a;a;a;a)*", "(a;a;a;a;a;a;a + a;a;a;a;a;a;a;a;a;a;a)*",
+           "(a;a;a;a + a;a;a;a;a;a)*", "(a;a;a)* & a;a;a;a", "0*", "(1 + a;a)*")
 
 
 def _run(argv: list[str]) -> str:
@@ -38,6 +43,8 @@ def _run(argv: list[str]) -> str:
 
 def _outputs(term: str) -> list[tuple[str, str]]:
     """Each golden output of ``term`` after its label."""
+    if term in EVAL_CM:
+        return [("eval-cm", _run(["eval-cm", term]))]
     with tempfile.TemporaryDirectory() as scratch:
         dot = Path(scratch) / "automaton.dot"
         _run(["automaton", term, "--dot", str(dot)])
@@ -56,7 +63,7 @@ def _blocks() -> dict[str, str]:
     return dict(zip(parts[1::2], parts[2::2]))
 
 
-@pytest.mark.parametrize("term", TERMS + DIGESTED)
+@pytest.mark.parametrize("term", TERMS + DIGESTED + EVAL_CM)
 def test_outputs_match_the_golden_file(term):
     golden = _blocks()
     for label, text in _outputs(term):
@@ -65,5 +72,6 @@ def test_outputs_match_the_golden_file(term):
 
 if __name__ == "__main__":
     GOLDEN.write_text("".join("### %s: %s\n%s" % (label, term, text)
-                              for term in TERMS + DIGESTED for label, text in _outputs(term)),
+                              for term in TERMS + DIGESTED + EVAL_CM
+                              for label, text in _outputs(term)),
                       encoding="utf-8")
