@@ -81,8 +81,11 @@ def _mask(width: int) -> int:
 
 
 def _repeat(pattern: int, width: int, count: int) -> int:
-    """``count`` copies of the ``width``-bit ``pattern``, the first lowest."""
-    return pattern * (_mask(width * count) // _mask(width))
+    """``count`` copies of the ``width``-bit ``pattern``, the first lowest.
+
+    The copies are joined as a string of binary digits, which ``int`` reads
+    in linear time; a zero pattern, the cycle of a finite set, skips it."""
+    return pattern and int(format(pattern, "0%db" % width) * count or "0", 2)
 
 
 def _lowest(bits: int) -> int:
@@ -121,13 +124,10 @@ class UnaryLang:
         _check_shape(threshold, period)
         if bits < 0:
             raise ValueError("bits must be a natural")
-        cycle = bits >> threshold & _mask(period)
-        for candidate in range(1, period):
-            if not period % candidate and cycle == _repeat(
-                cycle & _mask(candidate), candidate, period // candidate
-            ):
-                period = candidate
-                break
+        # The least shift that maps the cycle onto itself divides the period
+        # and is the least period.
+        cycle = format(bits >> threshold & _mask(period), "0%db" % period)
+        period = (cycle + cycle).find(cycle, 1)
         # Bit n of the XOR is set when n and n + period differ in membership.
         threshold = ((bits ^ bits >> period) & _mask(threshold)).bit_length()
         self.threshold = threshold
@@ -215,8 +215,9 @@ class UnaryLang:
         )
 
     def __str__(self) -> str:
-        low = ",".join(str(n) for n in range(self.threshold) if self.bits >> n & 1)
-        cycle = ",".join(str(i) for i in range(self.period) if self.bits >> self.threshold + i & 1)
+        members = bin(self.bits)[:1:-1]
+        low = ",".join(str(n) for n, bit in enumerate(members[:self.threshold]) if bit == "1")
+        cycle = ",".join(str(i) for i, bit in enumerate(members[self.threshold:]) if bit == "1")
         return "{%s} + {%s} mod %d from %d" % (low, cycle, self.period, self.threshold)
 
     def __repr__(self) -> str:
@@ -292,7 +293,8 @@ class UnaryLang:
             return UnaryLang.epsilon()
         closure = UnaryLang(0, _lowest(nonzero), 1)
         while True:
-            grown = closure.union(self.sum_set(closure))
+            # Uncached, so that only the result, not each round, stays in a memo.
+            grown = UnaryLang.union.__wrapped__(closure, UnaryLang.sum_set.__wrapped__(self, closure))
             if grown == closure:
                 return closure
             closure = grown

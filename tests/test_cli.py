@@ -1,6 +1,7 @@
 import json
 import random
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,10 @@ def test_check_all_suites_quick(capsys):
     for suite in checks.SUITES:
         code, out, _ = run(capsys, "check", suite, "--iters", "3")
         assert code == 0, (suite, out)
+    # A suite that walked all 2^26 - 1 symbols of 26 letters would not answer.
+    for suite in ("axioms", "derivatives", "fundamental", "normalform"):
+        code, out, _ = run(capsys, "check", suite, "--seed", "1", "--alphabet", string.ascii_lowercase)
+        assert code == 0, (suite, out)
 
 
 def test_deep_chain_is_a_resource_error(capsys):
@@ -188,6 +193,9 @@ def test_deep_chain_is_a_resource_error(capsys):
     letters = [rng.choice("ab") for _ in range(5000)]
     # The chain is its own normal form.
     assert run(capsys, "nf", ";".join(letters)) == (0, " ; ".join(letters) + "\n", "")
+    # One state per suffix, so a numbering that drops or repeats one shows.
+    code, out, err = run(capsys, "nf", "--json", ";".join(letters))
+    assert (code, json.loads(out)["states"], err) == (0, 5001, "")
     assert run(capsys, "automaton", ";".join(letters)) == (
         0, "states: 5001\naccepting: 1\ntransitions: 5000\n", "")
     left = "(" * 4998 + letters[0] + " ; " + ") ; ".join(letters[1:])
@@ -360,16 +368,32 @@ def test_usage_and_help_are_those_of_the_parser_for_every_command(capsys, monkey
         assert listed == _COMMAND_HELP
 
 
+def _env(**extra):
+    """A fresh interpreter's environment: ``src`` on its path, and ``extra``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                **extra)
+
+
 def _fresh_run(*argv):
     """Run ``main(argv)`` in a fresh interpreter; return the names in
     ``sys.modules`` when it is done."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, synka.cli; synka.cli.main(sys.argv[1:]); "
             "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, check=True)
+                          env=_env(), check=True)
     return set(done.stderr.split())
+
+
+def test_help_and_a_suite_run_under_optimized_bytecode():
+    # python -OO strips docstrings, so the help lines live in the command table.
+    def synka(*argv):
+        return subprocess.run([sys.executable, "-OO", "-m", "synka.cli", *argv], capture_output=True,
+                              text=True, env=_env(COLUMNS="80"), check=True).stdout
+
+    lines = [line.split() for line in synka("--help").splitlines()]
+    assert [name for name, text in _COMMAND_HELP if [name, *text.split()] not in lines] == []
+    synka("check", "countermodel", "--seed", "1")
 
 
 def test_parse_starts_with_the_parser_only():
@@ -389,10 +413,8 @@ def test_closed_stdout_exits_quietly():
     # The system of the six-fold product prints about 466 KB, more than a
     # pipe holds, so the command is still writing when the reader leaves.
     term = " & ".join(["(a+b;a)*"] * 6)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "synka.cli", "nf", "--system", term],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
     err = proc.stderr.read()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -200,7 +201,11 @@ def test_eval_cm_does_not_depend_on_what_the_memos_hold():
 
 
 def test_memos_stay_within_their_bound():
+    # A star's rounds, each as large as the star, stay out of the memos: the
+    # rounds of the star of {997, 1999} held about 300 MB there.
     _clear_memos()
+    UnaryLang.from_members((7, 11)).star_closure()
+    assert UnaryLang.union.cache_info().currsize == UnaryLang.sum_set.cache_info().currsize == 0
     generator = UnaryLang.generator()
     for n in range(MEMO_ENTRIES + 100):
         single = UnaryLang.from_members((n,))
@@ -212,6 +217,15 @@ def test_memos_stay_within_their_bound():
         info = operation.cache_info()
         assert info.maxsize == MEMO_ENTRIES
         assert info.currsize == MEMO_ENTRIES, operation.__name__
+
+
+@given(_periodic_args(), _periodic_args())
+def test_str_lists_the_members_below_the_threshold_then_the_cycle(a_args, b_args):
+    a, b = UnaryLang.periodic(*a_args), UnaryLang.periodic(*b_args)
+    for x in (a, a.union(b), a.sum_set(b), a.star_closure()):
+        low = ",".join(str(n) for n in range(x.threshold) if n in x)
+        cycle = ",".join(str(i) for i in range(x.period) if x.threshold + i in x)
+        assert str(x) == "{%s} + {%s} mod %d from %d" % (low, cycle, x.period, x.threshold)
 
 
 def test_operator_priorities():
@@ -307,6 +321,10 @@ def test_eval_examples():
     assert eval_cm(parse_term("0")) == UnaryLang.empty()
     assert eval_cm(parse_term("1")) == UnaryLang.epsilon()
     assert eval_cm(parse_term("a ; a")) == UnaryLang.from_members((2,))
+    # The least period, 9,699,690, is found without trying each divisor.
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    value = eval_cm(parse_term(" + ".join("(%s)*" % ";".join("a" * p) for p in primes)))
+    assert (value.threshold, value.period) == (0, math.prod(primes))
 
 
 def test_eval_rejects_h_terms():

@@ -4,9 +4,9 @@ byte for byte as ``data/golden.txt`` holds them.
 
 Terms hash by identity, so a solve step, a matrix row or a DOT listing
 taken in the hash order of terms would change these bytes between runs;
-CI runs this file under two hash seeds. The five-fold product's outputs
-(87 KB of system, 120 KB of DOT) are kept as SHA-256 digests. A change
-that alters an output on purpose rewrites the file with
+``test_determinism.py`` compares them under two hash seeds. The five-fold
+product's outputs (87 KB of system, 120 KB of DOT) are kept as SHA-256
+digests. A change that alters an output on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and lists what changed.
 """
 
@@ -34,10 +34,10 @@ EVAL_CM = ("a* & a*", "(a;a;a + a;a;a;a;a)*", "(a;a;a;a;a;a;a + a;a;a;a;a;a;a;a;
            "(a;a;a;a + a;a;a;a;a;a)*", "(a;a;a)* & a;a;a;a", "0*", "(1 + a;a)*")
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str], code: int = 0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == code, argv
     return out.getvalue()
 
 
@@ -57,6 +57,12 @@ def _outputs(term: str) -> list[tuple[str, str]]:
     return outputs
 
 
+def _text() -> str:
+    """The golden file as its outputs make it now."""
+    return "".join("### %s: %s\n%s" % (label, term, text)
+                   for term in TERMS + DIGESTED + EVAL_CM for label, text in _outputs(term))
+
+
 def _blocks() -> dict[str, str]:
     """The golden file's outputs, each after its ``label: term`` header."""
     parts = re.split(r"^### (.*)\n", GOLDEN.read_text(encoding="utf-8"), flags=re.M)
@@ -70,8 +76,9 @@ def test_outputs_match_the_golden_file(term):
         assert text == golden["%s: %s" % (label, term)], label
 
 
+def test_the_file_holds_no_stale_or_extra_block():
+    assert GOLDEN.read_text(encoding="utf-8") == _text()
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text("".join("### %s: %s\n%s" % (label, term, text)
-                              for term in TERMS + DIGESTED + EVAL_CM
-                              for label, text in _outputs(term)),
-                      encoding="utf-8")
+    GOLDEN.write_text(_text(), encoding="utf-8")

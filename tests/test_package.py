@@ -1,9 +1,14 @@
 import importlib
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import synka
 from synka import checks, cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def test_every_public_name_resolves_to_its_home_module():
@@ -48,3 +53,20 @@ def test_records_keep_their_fields_defaults_and_repr():
     assert repr(system) == "LinearSystem(states=(), matrix={}, vector={})"
     with pytest.raises(AttributeError):
         result.equivalent = False
+
+
+def test_readme_python_blocks_run():
+    # So that the library example cannot drift from the code.
+    exec("\n".join(re.findall(r"```python\n(.*?)```", README, re.S)), {})
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # Every ``synka`` line of the command-line block, as written, with the
+    # terms.txt it names. Exit 1 is a negative verdict; more is a failure.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "terms.txt").write_text("a & b\n(a+b)* ; H(a)\n", encoding="utf-8")
+    block = README.split("## Command line\n")[1].split("```sh\n")[1].split("```")[0]
+    lines = [line for line in block.splitlines() if line.startswith("synka ")]
+    assert lines
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) <= 1, line
