@@ -6,20 +6,24 @@ run and failure counts. Identical seeds give identical reports.
 
 Every instance of a law is counted by ``CheckResult.record``, which also
 keeps a description of the first three that fail. An equation schema is
-a pair of terms over variable letters, and ``terms.evaluate`` reads both
-sides in a model given as an ``Ops`` record with the variables' values.
-The schemas run through one loop, ``_equations``: in ``TERM_OPS`` over
-terms compared by ``equiv`` in the ``axioms`` suite, and in the
-countermodel's ``MODEL_OPS`` over model elements compared by ``==`` in
-the ``countermodel`` suite. ``_fixpoint_rules`` checks the least-fixpoint
-rules through the same ``Ops`` records, and ``_implication`` each rule.
+a plain ``(name, ska, lhs, rhs)`` record, its sides terms over variable
+letters, and ``terms.evaluate`` reads both sides in a model given as an
+``Ops`` record with the variables' values. The schemas run through one
+loop, ``_equations``: in ``TERM_OPS`` over terms compared by ``equiv`` in
+the ``axioms`` suite, and in the countermodel's ``MODEL_OPS`` over model
+elements compared by ``==`` in the ``countermodel`` suite.
+``_fixpoint_rules`` checks the least-fixpoint rules through the same
+``Ops`` records, and ``_implication`` each rule. The ``derivatives`` suite
+compares the set of words a term's automaton accepts up to the bound
+with the bounded semantics' set; its mismatches are the words in exactly
+one of the two.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -134,38 +138,14 @@ def guarded(term: Term, alphabet: str = "ab") -> Term:
 # ---------------------------------------------------------------------------
 # Axiom schemas, shared between the term algebra and the model
 
-@dataclass(frozen=True)
-class EquationSchema:
+class EquationSchema(namedtuple("EquationSchema", "name ska lhs rhs")):
     """A named equation between two terms over the general variables
-    ``x``, ``y``, ``z`` and the semilattice variables ``s``, ``t``. ``ska``
-    marks membership in the original axiom set (those are also the laws
-    checked on the model)."""
+    ``x``, ``y``, ``z`` and the semilattice variables ``s``, ``t``, kept as
+    data: ``terms.evaluate`` reads each side in a model, with a value for
+    each variable letter the sides use. ``ska`` marks membership in the
+    original axiom set (those are also the laws checked on the model)."""
 
-    name: str
-    ska: bool
-    lhs: Term
-    rhs: Term
-
-    def _variables(self, names: str) -> str:
-        """The letters among ``names`` that either side uses, in order."""
-        used = letters(self.lhs) | letters(self.rhs)
-        return "".join(name for name in names if name in used)
-
-    @property
-    def arity(self) -> int:
-        return len(self._variables("xyz"))
-
-    @property
-    def sl_arity(self) -> int:
-        return len(self._variables("st"))
-
-    def build(self, ops: Ops, variables: list, sl_variables: list) -> tuple[object, object]:
-        """Both sides in the model ``ops``, with ``variables`` for the
-        general and ``sl_variables`` for the semilattice variables, each
-        in alphabetical order."""
-        value = dict(zip(self._variables("xyz") + self._variables("st"),
-                         [*variables, *sl_variables])).__getitem__
-        return evaluate(self.lhs, ops, value), evaluate(self.rhs, ops, value)
+    __slots__ = ()
 
 
 EQUATIONS: tuple[EquationSchema, ...] = tuple(
@@ -211,17 +191,20 @@ SKA_EQUATIONS = tuple(s for s in EQUATIONS if s.ska)
 def _equations(prefix: str, schemas: tuple[EquationSchema, ...], iters: int, ops: Ops,
                draw: Callable[[], object], draw_sl: Callable[[], object],
                same: Callable[[object, object], bool]) -> list[CheckResult]:
-    """Check each schema on ``iters`` instances, its variables drawn by
-    ``draw`` and its semilattice variables by ``draw_sl``, in that order."""
+    """Check each schema on ``iters`` instances. Per instance, each variable
+    letter the schema uses takes a value, in the order ``x, y, z, s, t``:
+    drawn by ``draw`` for a general and by ``draw_sl`` for a semilattice
+    variable. A failure lists the general variables' values."""
     results = []
     for schema in schemas:
+        used = letters(schema.lhs) | letters(schema.rhs)
+        names = [name for name in "xyzst" if name in used]
         result = CheckResult(prefix + schema.name)
         for _ in range(iters):
-            variables = [draw() for _ in range(schema.arity)]
-            sl_variables = [draw_sl() for _ in range(schema.sl_arity)]
-            lhs, rhs = schema.build(ops, variables, sl_variables)
-            result.record(same(lhs, rhs),
-                          lambda: "%s != %s on %s" % (lhs, rhs, [str(v) for v in variables]))
+            value = {name: draw() if name in "xyz" else draw_sl() for name in names}
+            lhs, rhs = (evaluate(side, ops, value.__getitem__) for side in (schema.lhs, schema.rhs))
+            result.record(same(lhs, rhs), lambda: "%s != %s on %s" % (
+                lhs, rhs, [str(value[name]) for name in names if name in "xyz"]))
         results.append(result)
     return results
 
@@ -305,31 +288,25 @@ def check_derivatives(
     """Acceptance in the term's automaton (subsets stepped with ``step``
     from the term, accepting when a state is ``nullable``) against the
     bounded semantics, on every word up to the bound over the full subset
-    alphabet. The walk descends only into the symbols ``step`` reads; the
-    automaton rejects every word through any other symbol, so of those
-    words the expected ones are the mismatches, counted by prefix."""
+    alphabet. The walk descends only into the symbols ``step`` reads, as
+    the automaton rejects every word through any other symbol; the
+    mismatches are the words in exactly one of the accepted and the
+    expected set."""
     rng = random.Random(seed)
     result = CheckResult("derivative soundness")
     for _ in range(iters):
         term = random_term(rng, alphabet, rng.randint(1, 12))
-        expected = sem_bounded(term, bound)
-        # How many expected words start with each prefix.
-        starting = Counter(w[:n] for w in expected.words for n in range(len(w) + 1))
-        mismatches = 0
+        accepted = set()
 
         def walk(word, subset):
-            nonlocal mismatches
-            listed = word in expected.words
-            mismatches += any(nullable(q) for q in subset) != listed
-            if len(word) == bound:
-                return
-            table = step(subset)
-            # The expected words that go on through a symbol step cannot read.
-            mismatches += starting[word] - listed - sum(starting[word + (s,)] for s in table)
-            for symbol, targets in table.items():
-                walk(word + (symbol,), targets)
+            if any(nullable(q) for q in subset):
+                accepted.add(word)
+            if len(word) < bound:
+                for symbol, targets in step(subset).items():
+                    walk(word + (symbol,), targets)
 
         walk((), frozenset((term,)))
+        mismatches = len(accepted ^ sem_bounded(term, bound).words)
         result.record(not mismatches, lambda: "term %s mismatches on %d words" % (term, mismatches))
     return [result]
 

@@ -162,14 +162,13 @@ def _cmd_nf(args) -> int:
     term = parse_term(args.term, args.alphabet)
     system = build_system(term)
     normal = solve(system)[term]
-    payload = {"command": "nf", "term": print_term(term), "normal_form": print_term(normal),
+    printed = print_term(normal)
+    payload = {"command": "nf", "term": print_term(term), "normal_form": printed,
                "states": len(system.states)}
-    lines = []
+    lines = [printed]
     if args.system:
-        table = format_system(system)
-        payload["system"] = table.splitlines()
-        lines.extend(table.splitlines())
-    lines.append(print_term(normal))
+        payload["system"] = format_system(system).splitlines()
+        lines = payload["system"] + lines
     _emit(args, payload, lines)
     return 0
 
@@ -206,9 +205,8 @@ def _cmd_eval_cm(args) -> int:
     from .countermodel import eval_cm
 
     term = parse_term(args.term, args.alphabet)
-    value = eval_cm(term)
-    _emit(args, {"command": "eval-cm", "term": print_term(term), "value": str(value)},
-          [str(value)])
+    value = str(eval_cm(term))
+    _emit(args, {"command": "eval-cm", "term": print_term(term), "value": value}, [value])
     return 0
 
 

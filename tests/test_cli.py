@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import os
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from synka import checks
+from synka.countermodel import UnaryLang
 from synka.cli import main
 
 
@@ -144,6 +146,51 @@ def test_eval_cm(capsys):
     assert out.strip() == "{} + {0} mod 1 from 0"
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_nf_prints_its_normal_form_once(capsys, monkeypatch, mode):
+    # The printed normal form serves the JSON payload and the text line alike.
+    printed = []
+
+    def print_term(term):
+        printed.append(str(term))
+        return printed[-1]
+
+    monkeypatch.setattr("synka.cli.print_term", print_term)
+    code, _, _ = run(capsys, "nf", *mode, "a + a")
+    assert code == 0
+    assert sorted(printed) == ["a", "a + a"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_eval_cm_prints_its_value_once(capsys, monkeypatch, mode):
+    printed = []
+    to_text = UnaryLang.__str__
+
+    def counted(value):
+        printed.append(to_text(value))
+        return printed[-1]
+
+    monkeypatch.setattr(UnaryLang, "__str__", counted)
+    code, _, _ = run(capsys, "eval-cm", *mode, "a*")
+    assert code == 0
+    assert printed == ["{} + {0} mod 1 from 0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "derivatives", "--bound", "-1"], "error: bound must be nonnegative\n"),
+    (["parse", "--file", "missing/terms.txt"], None),
+    (["automaton", "a", "--dot", "missing/out.dot"], None),
+])
+def test_refused_input_is_one_error_line(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == message
+    assert not (tmp_path / "missing").exists()
+
+
 def test_eval_cm_rejects_h(capsys):
     code, _, err = run(capsys, "eval-cm", "H(a)")
     assert code == 2
@@ -266,6 +313,13 @@ def test_check_prints_counterexamples(capsys, monkeypatch):
     result = json.loads(out)["results"][0]
     assert result["failures"] == 2 and len(result["details"]) == 2
     assert all(" != " in detail for detail in result["details"])
+    # The whole report, whose details show the draws and the substitution,
+    # pinned by its digest.
+    code, out, _ = run(capsys, "check", "axioms", "--seed", "1", "--iters", "2")
+    assert code == 1
+    assert out.count("\n") == 88
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "54c1a785efe198efa828933d4f8103e69326b79a695af75289202961a2b5111b")
 
 
 @pytest.mark.parametrize("argv", [["parse", "--cap", "5", "a"], ["equiv", "--seed", "1", "a", "a"],

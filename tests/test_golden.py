@@ -1,13 +1,17 @@
 """Golden outputs: ``nf``, ``nf --system``, ``automaton --json`` and the DOT
-file of fixed terms, and the ``eval-cm`` value of fixed one-letter terms,
-byte for byte as ``data/golden.txt`` holds them.
+file of fixed terms, the ``eval-cm`` value of fixed one-letter terms, and
+the ``check SUITE --seed 1`` text report of each suite in
+``checks.SUITES``, byte for byte as ``data/golden.txt`` holds them.
 
 Terms hash by identity, so a solve step, a matrix row or a DOT listing
 taken in the hash order of terms would change these bytes between runs;
 ``test_determinism.py`` compares them under two hash seeds. The five-fold
 product's outputs (87 KB of system, 120 KB of DOT) are kept as SHA-256
-digests. A change that alters an output on purpose rewrites the file with
-``PYTHONPATH=src python tests/test_golden.py`` and lists what changed.
+digests. The check reports pin each suite's draws and verdicts, so a
+suite change that moves a report, or a new suite, fails here until the
+file is rewritten. A change that alters an output on purpose rewrites
+the file with ``PYTHONPATH=src python tests/test_golden.py`` and lists
+what changed.
 """
 
 import contextlib
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from synka import cli
+from synka import checks, cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden.txt"
 
@@ -32,6 +36,9 @@ DIGESTED = (" & ".join([_PRODUCT] * 5),)
 # (one reaching threshold 60, one of period 2) and a product with a star.
 EVAL_CM = ("a* & a*", "(a;a;a + a;a;a;a;a)*", "(a;a;a;a;a;a;a + a;a;a;a;a;a;a;a;a;a;a)*",
            "(a;a;a;a + a;a;a;a;a;a)*", "(a;a;a)* & a;a;a;a", "0*", "(1 + a;a)*")
+# Suites whose seed-1 report is kept, after the terms.
+SUITES = tuple(checks.SUITES)
+SUBJECTS = TERMS + DIGESTED + EVAL_CM + SUITES
 
 
 def _run(argv: list[str], code: int = 0) -> str:
@@ -42,7 +49,10 @@ def _run(argv: list[str], code: int = 0) -> str:
 
 
 def _outputs(term: str) -> list[tuple[str, str]]:
-    """Each golden output of ``term`` after its label."""
+    """Each golden output of ``term``, a term or a suite's name, after its
+    label."""
+    if term in SUITES:
+        return [("check --seed 1", _run(["check", term, "--seed", "1"]))]
     if term in EVAL_CM:
         return [("eval-cm", _run(["eval-cm", term]))]
     with tempfile.TemporaryDirectory() as scratch:
@@ -60,7 +70,7 @@ def _outputs(term: str) -> list[tuple[str, str]]:
 def _text() -> str:
     """The golden file as its outputs make it now."""
     return "".join("### %s: %s\n%s" % (label, term, text)
-                   for term in TERMS + DIGESTED + EVAL_CM for label, text in _outputs(term))
+                   for term in SUBJECTS for label, text in _outputs(term))
 
 
 def _blocks() -> dict[str, str]:
@@ -69,7 +79,7 @@ def _blocks() -> dict[str, str]:
     return dict(zip(parts[1::2], parts[2::2]))
 
 
-@pytest.mark.parametrize("term", TERMS + DIGESTED + EVAL_CM)
+@pytest.mark.parametrize("term", SUBJECTS)
 def test_outputs_match_the_golden_file(term):
     golden = _blocks()
     for label, text in _outputs(term):

@@ -24,8 +24,8 @@ from synka import (
     sem_bounded,
     word_sync,
 )
-from synka.checks import EQUATIONS, TERM_OPS, random_sl_term, random_term
-from synka.terms import letters
+from synka.checks import EQUATIONS, TERM_OPS, _equations, random_sl_term, random_term
+from synka.terms import evaluate, letters
 
 words = st.lists(
     st.sets(st.sampled_from("abc"), min_size=1).map(SymSet), max_size=4
@@ -175,28 +175,36 @@ def test_axioms_hold_in_bounded_semantics():
     rng = random.Random(21)
     bound = 4
     for schema in EQUATIONS:
+        used = letters(schema.lhs) | letters(schema.rhs)
         for _ in range(25):
-            variables = [random_term(rng, "ab", rng.randint(1, 6)) for _ in range(schema.arity)]
-            sls = [random_sl_term(rng, "ab", rng.randint(1, 3)) for _ in range(schema.sl_arity)]
-            lhs, rhs = schema.build(TERM_OPS, variables, sls)
+            value = {name: random_term(rng, "ab", rng.randint(1, 6)) for name in "xyz" if name in used}
+            value.update((name, random_sl_term(rng, "ab", rng.randint(1, 3)))
+                         for name in "st" if name in used)
+            lhs, rhs = (evaluate(side, TERM_OPS, value.__getitem__) for side in (schema.lhs, schema.rhs))
             assert sem_bounded(lhs, bound) == sem_bounded(rhs, bound), schema.name
 
 
-def test_schema_variables_and_arities():
-    # x, y, z are general variables and s, t semilattice ones; each schema's
-    # arities count the letters its two sides use.
+def test_schema_variable_letters():
+    # x, y, z are general variables and s, t semilattice ones; a schema is
+    # plain data, and its variables are the letters its two sides use.
+    used = {}
     for schema in EQUATIONS:
-        assert letters(schema.lhs) | letters(schema.rhs) <= set("xyzst"), schema.name
-    arities = {schema.name: (schema.arity, schema.sl_arity) for schema in EQUATIONS}
-    assert len(arities) == len(EQUATIONS) == 28
-    assert arities["synchrony"] == (2, 2)
-    assert arities["h-atom"] == (0, 1)
-    assert arities["plus-assoc"] == (3, 0)
-    assert arities["h-zero"] == (0, 0)
+        names = letters(schema.lhs) | letters(schema.rhs)
+        assert names <= set("xyzst"), schema.name
+        used[schema.name] = "".join(name for name in "xyzst" if name in names)
+    assert len(used) == len(EQUATIONS) == 28
+    assert used["synchrony"] == "xyst"
+    assert used["h-atom"] == "s"
+    assert used["plus-assoc"] == "xyz"
+    assert used["h-zero"] == ""
+    assert EQUATIONS[0] == ("plus-assoc", True, parse_term("x + (y + z)"), parse_term("x + y + z"))
 
 
-def test_schema_build_substitutes_in_alphabetical_order():
-    synchrony = next(schema for schema in EQUATIONS if schema.name == "synchrony")
-    a, b, c, d = (parse_term(x) for x in "abcd")
-    assert synchrony.build(TERM_OPS, [a, b], [c, d]) == (
-        parse_term("c ; a & d ; b"), parse_term("(c & d) ; (a & b)"))
+def test_equations_substitute_in_alphabetical_order():
+    # The general variables take draw's values and the semilattice ones
+    # draw_sl's, each in alphabetical order; a failure lists the former.
+    synchrony = tuple(schema for schema in EQUATIONS if schema.name == "synchrony")
+    general, semilattice = iter(parse_term(x) for x in "ab"), iter(parse_term(x) for x in "cd")
+    [result] = _equations("", synchrony, 1, TERM_OPS, general.__next__, semilattice.__next__,
+                          lambda lhs, rhs: False)
+    assert result.details == ["c ; a & d ; b != (c & d) ; (a & b) on ['a', 'b']"]
